@@ -6,7 +6,10 @@ Randomness derives from a single 64-bit seed with per-check counters, so any
 suite reproduces the same draws whether run alone or as part of ``all``.
 
 Exit codes: 0 all checks passed, 1 a check or verification failed, 2 invalid
-arguments or unparseable input, 3 synthesis search exhausted.  The
+arguments or unparseable input, 3 synthesis search exhausted.  Input errors
+print one ``minqc <command>: <message>`` line to stderr; a failed
+``synth`` or ``schedule`` run that still has a report (search exhausted,
+ancilla exiting entangled) emits it with an ``error`` field.  The
 environment variable MINQC_TOL overrides the default tolerance of the
 ``schedule`` command.
 """
@@ -21,9 +24,9 @@ import time
 import numpy as np
 
 from . import __version__, catalog, cz_model, hamiltonian, locequiv, swap_model, synth
-from .errors import ScheduleInvalid, SearchExhausted
-from .gates import I2, X, Z, controlled, cz_gate, hadamard, phase_gate, swap_gate, t_gate
-from .linalg import dist_phase, embed_gate, phase_aligned_dist, random_unitary, tensor
+from .errors import AncillaEntangledAtExit, SearchExhausted
+from .gates import I2, Z, cz_gate, hadamard, swap_gate, t_gate
+from .linalg import dist_phase, random_unitary
 from .simulator import run as run_schedule
 from .simulator import schedule_from_text, verify_against
 from .synth import GateWord, NOT_UNIVERSAL, PLAUSIBLY_UNIVERSAL, word_product
@@ -68,22 +71,15 @@ def _suite_k(seed: int, trials: int) -> list[dict]:
     rng = _rng(seed, suite, 0)
     residual = 0.0
     for u, v in _random_instances(rng, trials):
-        k = cz_model.cz_interaction(u, v)
-        alt = tensor(I2, h) @ controlled(k.gate0, k.gate1, control=1)
-        residual = max(residual, float(np.linalg.norm(k.matrix - alt)))
-    checks.append(_check(suite, "dressed-CZ and ancilla-controlled factorizations agree", residual, 1e-12))
+        residual = max(residual, cz_model.factorization_residual(cz_model.cz_interaction(u, v)))
+    checks.append(_check(suite, "dressed-CZ and ancilla-controlled factorizations agree", residual, cz_model.FACTORIZATION_ATOL))
 
     rng = _rng(seed, suite, 1)
     residual = 0.0
     for u, v in _random_instances(rng, trials):
         k = cz_model.cz_interaction(u, v)
-        for bit in (0, 1):
-            anc = np.zeros(2, dtype=complex)
-            anc[bit] = 1.0
-            for col in np.eye(2, dtype=complex):
-                out = k.matrix @ np.kron(col, anc)
-                residual = max(residual, float(np.linalg.norm(out - np.kron(k.gate(bit) @ col, h @ anc))))
-    checks.append(_check(suite, "basis-prepared ancilla applies the selected gate, exiting in H|i>", residual, 1e-12))
+        residual = max(residual, cz_model.action_residual(k, 0), cz_model.action_residual(k, 1))
+    checks.append(_check(suite, "basis-prepared ancilla applies the selected gate, exiting in H|i>", residual, cz_model.ACTION_ATOL))
 
     rng = _rng(seed, suite, 2)
     decouple = 0.0
@@ -91,17 +87,12 @@ def _suite_k(seed: int, trials: int) -> list[dict]:
     schmidt = 0.0
     cz_inv = locequiv.invariants(cz_gate())
     for u, v in _random_instances(rng, trials):
-        k = cz_model.cz_interaction(u, v)
-        k_on_j = embed_gate(k.matrix, [2, 0], 3)
-        k_on_k = embed_gate(k.matrix, [1, 0], 3)
-        mid = embed_gate(tensor(k.gate0.conj().T, k.gate0.conj().T), [2, 1], 3)
-        seq = k_on_k @ k_on_j @ mid @ k_on_k @ k_on_j
-        induced = tensor(u, u) @ cz_gate() @ tensor(v, v)
-        decouple = max(decouple, float(np.linalg.norm(seq - tensor(induced, I2))))
+        seq, induced, residual = cz_model.sandwich(cz_model.cz_interaction(u, v))
+        decouple = max(decouple, residual)
         invariant_gap = max(invariant_gap, locequiv.invariants(induced).distance(cz_inv))
         svals = np.linalg.svd(seq.reshape(4, 2, 4, 2).transpose(0, 2, 1, 3).reshape(16, 4), compute_uv=False)
         schmidt = max(schmidt, float(svals[1]))
-    checks.append(_check(suite, "four-interaction sandwich decouples the mediating ancilla", decouple, 1e-11))
+    checks.append(_check(suite, "four-interaction sandwich decouples the mediating ancilla", decouple, cz_model.SANDWICH_ATOL))
     checks.append(_check(suite, "induced register gate is locally equivalent to CZ", invariant_gap, 1e-8))
     checks.append(_check(suite, "register/ancilla operator Schmidt rank is one", schmidt, 1e-10))
 
@@ -161,52 +152,27 @@ def _suite_l(seed: int, trials: int) -> list[dict]:
     rng = _rng(seed, suite, 0)
     residual = 0.0
     for _ in range(trials):
-        u, th, tr, ta = draw(rng)
-        l = swap_model.swap_interaction(u, th, tr, ta)
-        alt = (
-            swap
-            @ controlled(u @ phase_gate(tr), u @ phase_gate(th + tr), control=1)
-            @ tensor(I2, phase_gate(ta))
-        )
-        residual = max(residual, float(np.linalg.norm(l.matrix - alt)))
-    checks.append(_check(suite, "swap-phase and ancilla-controlled factorizations agree", residual, 1e-12))
+        l = swap_model.swap_interaction(*draw(rng))
+        residual = max(residual, swap_model.factorization_residual(l))
+    checks.append(_check(suite, "swap-phase and ancilla-controlled factorizations agree", residual, swap_model.FACTORIZATION_ATOL))
 
     rng = _rng(seed, suite, 1)
     residual = 0.0
     for _ in range(trials):
-        u, th, tr, ta = draw(rng)
-        l = swap_model.swap_interaction(u, th, tr, ta)
-        double = l.matrix @ l.matrix
-        for bit in (0, 1):
-            anc = np.zeros(2, dtype=complex)
-            anc[bit] = 1.0
-            out = np.stack([double @ np.kron(col, anc) for col in np.eye(2, dtype=complex)], axis=1)
-            expected = np.stack(
-                [np.kron(l.gate(bit) @ col, u @ anc) for col in np.eye(2, dtype=complex)], axis=1
-            )
-            residual = max(residual, phase_aligned_dist(out, expected))
-    checks.append(_check(suite, "two interactions apply the selected gate, ancilla exiting in u|i>", residual, 1e-11))
+        l = swap_model.swap_interaction(*draw(rng))
+        residual = max(residual, swap_model.action_residual(l, 0), swap_model.action_residual(l, 1))
+    checks.append(_check(suite, "two interactions apply the selected gate, ancilla exiting in u|i>", residual, swap_model.ACTION_ATOL))
 
     rng = _rng(seed, suite, 2)
     decouple = 0.0
     entangling_ok = True
     asym_dists = []
     for _ in range(trials):
-        u, th, tr, ta = draw(rng)
-        l = swap_model.swap_interaction(u, th, tr, ta)
-        l_on_j = embed_gate(l.matrix, [2, 0], 3)
-        l_on_k = embed_gate(l.matrix, [1, 0], 3)
-        seq = l_on_j @ l_on_k @ l_on_j
-        closed = swap_model.entangling_gate(l)
-        anc = np.zeros(2, dtype=complex)
-        anc[0] = 1.0
-        for col in np.eye(4, dtype=complex):
-            decouple = max(decouple, float(np.linalg.norm(
-                seq @ np.kron(col, anc) - np.kron(closed @ col, u @ anc)
-            )))
+        closed, residual = swap_model.sandwich(swap_model.swap_interaction(*draw(rng)))
+        decouple = max(decouple, residual)
         entangling_ok = entangling_ok and locequiv.is_entangling(closed)
         asym_dists.append(dist_phase(closed, swap @ closed @ swap))
-    checks.append(_check(suite, "three-interaction sequence decouples the ancilla in u|0> and matches the closed form", decouple, 1e-11))
+    checks.append(_check(suite, "three-interaction sequence decouples the ancilla in u|0> and matches the closed form", decouple, swap_model.SANDWICH_ATOL))
     checks.append(_bool_check(suite, "induced entangler is entangling for nontrivial phase angles", entangling_ok))
     # exchange symmetry only occurs on a measure-zero parameter set; assert
     # the typical draw is far from it and the SCT instance specifically is
@@ -359,16 +325,11 @@ def _suite_universality(seed: int, trials: int) -> list[dict]:
 
 def _suite_mediated(seed: int, trials: int) -> list[dict]:
     suite = "endnote-a"
-    checks = []
-    cx = controlled(I2, X)
-    cz = cz_gate()
-    cx_ka = embed_gate(cx, [1, 0], 3)
-    cz_ja = embed_gate(cz, [2, 0], 3)
-    loop = cx_ka @ cz_ja @ cx_ka @ cz_ja
-    residual = float(np.linalg.norm(loop - embed_gate(cz, [2, 1], 3)))
-    checks.append(_check(suite, "alternating controlled-X/-Z loop composes to a register controlled-Z", residual, 1e-12))
-    checks.append(_check(suite, "XZXZ equals minus the identity", float(np.linalg.norm(X @ Z @ X @ Z + I2)), 1e-14))
-    return checks
+    loop, pauli = cz_model.mediated_cz_residuals()
+    return [
+        _check(suite, "alternating controlled-X/-Z loop composes to a register controlled-Z", loop, cz_model.MEDIATED_LOOP_ATOL),
+        _check(suite, "XZXZ equals minus the identity", pauli, cz_model.PAULI_LOOP_ATOL),
+    ]
 
 
 _SUITES = {
@@ -380,7 +341,8 @@ _SUITES = {
 }
 
 
-def _emit(report: dict) -> None:
+def _emit(report: dict, start: float) -> None:
+    report["wall_time_s"] = round(time.perf_counter() - start, 6)
     print(json.dumps(report, indent=2))
 
 
@@ -406,27 +368,22 @@ def cmd_verify(args) -> int:
         "summary": {"total": len(checks), "passed": passed, "failed": len(checks) - passed},
         "warnings": warnings,
         "overall_pass": passed == len(checks),
-        "wall_time_s": round(time.perf_counter() - start, 6),
     }
-    _emit(report)
+    _emit(report, start)
     return 0 if report["overall_pass"] else 1
 
 
 def cmd_synth(args) -> int:
     start = time.perf_counter()
     rng = np.random.default_rng(args.seed)
-    try:
-        parts = args.gens.split(",")
-        if len(parts) != 2:
-            raise ValueError("--gens expects two comma-separated gate expressions")
-        g0 = catalog.parse_gate_spec(parts[0].strip(), rng)
-        g1 = catalog.parse_gate_spec(parts[1].strip(), rng)
-        target = catalog.parse_gate_spec(args.target, rng)
-        if target.shape != (2, 2) or g0.shape != (2, 2) or g1.shape != (2, 2):
-            raise ValueError("synthesis operates on 2x2 gates")
-    except (ValueError, OSError) as exc:
-        print(f"minqc synth: {exc}", file=sys.stderr)
-        return 2
+    parts = args.gens.split(",")
+    if len(parts) != 2:
+        raise ValueError("--gens expects two comma-separated gate expressions")
+    g0 = catalog.parse_gate_spec(parts[0].strip(), rng)
+    g1 = catalog.parse_gate_spec(parts[1].strip(), rng)
+    target = catalog.parse_gate_spec(args.target, rng)
+    if target.shape != (2, 2) or g0.shape != (2, 2) or g1.shape != (2, 2):
+        raise ValueError("synthesis operates on 2x2 gates")
     diagnostic = synth.universality_diagnostic(g0, g1)
     report = {
         "schema_version": SCHEMA_VERSION,
@@ -443,14 +400,12 @@ def cmd_synth(args) -> int:
         word = synth.synthesize(g0, g1, target, args.eps, args.max_len)
     except SearchExhausted as exc:
         report["error"] = str(exc)
-        report["wall_time_s"] = round(time.perf_counter() - start, 6)
-        _emit(report)
+        _emit(report, start)
         return 3
     report["word"] = list(word.bits)
     report["length"] = len(word.bits)
     report["distance"] = word.distance
-    report["wall_time_s"] = round(time.perf_counter() - start, 6)
-    _emit(report)
+    _emit(report, start)
     return 0
 
 
@@ -459,16 +414,10 @@ def cmd_schedule(args) -> int:
     tol = args.tol
     if tol is None:
         tol = float(os.environ.get("MINQC_TOL", "1e-9"))
-    try:
-        with open(args.file) as fh:
-            text = fh.read()
-        schedule = schedule_from_text(text, catalog.standard_interactions())
-        claimed = catalog.parse_gate_spec(args.claimed)
-    except (ScheduleInvalid, ValueError, OSError) as exc:
-        print(f"minqc schedule: {exc}", file=sys.stderr)
-        return 2
-    report_obj = run_schedule(schedule)
-    ok = verify_against(report_obj, claimed, tol)
+    with open(args.file) as fh:
+        text = fh.read()
+    schedule = schedule_from_text(text, catalog.standard_interactions())
+    claimed = catalog.parse_gate_spec(args.claimed)
     report = {
         "schema_version": SCHEMA_VERSION,
         "command": "schedule",
@@ -478,6 +427,15 @@ def cmd_schedule(args) -> int:
         "register_size": schedule.register_size,
         "interactions": schedule.interaction_count(),
         "ancillas": schedule.ancilla_count(),
+    }
+    try:
+        report_obj = run_schedule(schedule)
+    except AncillaEntangledAtExit as exc:
+        report.update({"tolerance": tol, "pass": False, "error": str(exc)})
+        _emit(report, start)
+        return 1
+    ok = verify_against(report_obj, claimed, tol)
+    report.update({
         "residual": report_obj.residuals["claimed"],
         "tolerance": tol,
         "pass": ok,
@@ -487,9 +445,8 @@ def cmd_schedule(args) -> int:
         },
         "max_purity_deficit": max(report_obj.purity_deficits.values(), default=0.0),
         "warnings": report_obj.warnings,
-        "wall_time_s": round(time.perf_counter() - start, 6),
-    }
-    _emit(report)
+    })
+    _emit(report, start)
     return 0 if ok else 1
 
 
@@ -536,10 +493,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        code = args.func(args)
+        return args.func(args)
     except BrokenPipeError:  # downstream closed the report stream
         return 1
-    return code
+    except (ValueError, OSError) as exc:  # the package's input errors
+        print(f"minqc {args.command}: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

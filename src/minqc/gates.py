@@ -19,11 +19,6 @@ _P0 = np.array([[1, 0], [0, 0]], dtype=complex)
 _P1 = np.array([[0, 0], [0, 1]], dtype=complex)
 
 
-def normalize_angle(theta: float) -> float:
-    """Reduce an angle in radians to [0, 2*pi)."""
-    return float(np.mod(theta, 2 * np.pi))
-
-
 def hadamard() -> np.ndarray:
     return np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 
@@ -66,11 +61,6 @@ def cnot_gate() -> np.ndarray:
 def controlled_phase(theta: float) -> np.ndarray:
     """diag(1, 1, 1, e^{i theta}); symmetric in the two qubits."""
     return np.diag([1, 1, 1, np.exp(1j * theta)]).astype(complex)
-
-
-def swap_controlled(u: np.ndarray, control: int = 0) -> np.ndarray:
-    """SWAP composed with controlled-u: the non-local skeleton of the swap-type interaction."""
-    return swap_gate() @ controlled(I2, u, control=control)
 
 
 def swap_controlled_phase(theta: float) -> np.ndarray:

@@ -11,7 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gates import swap_gate
 from .linalg import require_unitary
 
 INVARIANT_ATOL = 1e-8
@@ -85,6 +84,3 @@ def is_entangling(u: np.ndarray, tol: float = INVARIANT_ATOL) -> bool:
             return _creates_entanglement(u)
     return True
 
-
-def swap_class_invariants() -> LocalInvariants:
-    return invariants(swap_gate())

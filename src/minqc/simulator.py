@@ -32,6 +32,11 @@ from .linalg import StateVec, apply_gate, dist_phase
 DECOUPLE_ATOL = 1e-10
 WARN_ATOL = 1e-6
 
+# Size caps checked before any allocation: the register operator has
+# 4^register_size entries, the live state 2^(register + live ancillas).
+MAX_REGISTER_QUBITS = 12
+MAX_LIVE_QUBITS = 20
+
 
 @dataclass(frozen=True)
 class Step:
@@ -50,7 +55,11 @@ class Schedule:
     def validate(self) -> None:
         if self.register_size < 1:
             raise ScheduleInvalid("register must hold at least one qubit")
-        used = set()
+        if self.register_size > MAX_REGISTER_QUBITS:
+            raise ScheduleInvalid(f"register of {self.register_size} qubits exceeds the cap of {MAX_REGISTER_QUBITS}")
+        last_use = {step.ancilla: i for i, step in enumerate(self.steps)}
+        live: set[str] = set()
+        peak = 0
         for i, step in enumerate(self.steps):
             if step.ancilla not in self.preps:
                 raise ScheduleInvalid(f"step {i}: ancilla {step.ancilla!r} never prepared")
@@ -63,11 +72,16 @@ class Schedule:
             g = self.interactions[step.interaction]
             if g.shape != (4, 4):
                 raise ScheduleInvalid(f"interaction {step.interaction!r} is not a 4x4 matrix")
-            used.add(step.ancilla)
+            live.add(step.ancilla)
+            peak = max(peak, len(live))
+            if last_use[step.ancilla] == i:
+                live.remove(step.ancilla)
+        if self.register_size + peak > MAX_LIVE_QUBITS:
+            raise ScheduleInvalid(f"{self.register_size + peak} live qubits exceed the cap of {MAX_LIVE_QUBITS}")
         for ancilla, bit in self.preps.items():
             if bit not in (0, 1):
                 raise ScheduleInvalid(f"ancilla {ancilla!r} prepared in non-bit {bit!r}")
-            if ancilla not in used:
+            if ancilla not in last_use:
                 raise ScheduleInvalid(f"ancilla {ancilla!r} prepared but never used")
 
     def interaction_count(self) -> int:

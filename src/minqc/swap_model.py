@@ -18,6 +18,11 @@ from .gates import I2, controlled, phase_gate, swap_controlled_phase, swap_gate,
 from .linalg import embed_gate, phase_aligned_dist, require_unitary, tensor, dist_phase
 from .simulator import Schedule, Step
 
+# Identity tolerances: the constructors raise at them, ``minqc verify`` reports against them.
+FACTORIZATION_ATOL = 1e-12
+ACTION_ATOL = 1e-11
+SANDWICH_ATOL = 1e-11
+
 
 @dataclass(frozen=True)
 class SwapInteraction:
@@ -39,61 +44,69 @@ def swap_interaction(
     """Build the interaction; the selected gates are
     gate_i = R(i*theta + theta_a) u R(i*theta + theta_r).
 
-    Cross-checked against the equivalent ancilla-controlled form
-    SWAP . C(u R(theta_r), u R(theta + theta_r)) . (I (x) R(theta_a)) with
-    the control on the ancilla slot.
+    Cross-checked against the equivalent ancilla-controlled form by
+    :func:`factorization_residual`.
     """
     u = require_unitary(u, "u")
-    matrix = tensor(I2, u) @ swap_controlled_phase(theta) @ tensor(
-        phase_gate(theta_r), phase_gate(theta_a)
+    interaction = SwapInteraction(
+        u=u, theta=theta, theta_r=theta_r, theta_a=theta_a,
+        matrix=tensor(I2, u) @ swap_controlled_phase(theta) @ tensor(
+            phase_gate(theta_r), phase_gate(theta_a)
+        ),
+        gate0=phase_gate(theta_a) @ u @ phase_gate(theta_r),
+        gate1=phase_gate(theta + theta_a) @ u @ phase_gate(theta + theta_r),
     )
+    if factorization_residual(interaction) >= FACTORIZATION_ATOL:
+        raise FactorizationFailure("swap-phase and ancilla-controlled forms disagree")
+    return interaction
+
+
+def factorization_residual(interaction: SwapInteraction) -> float:
+    """Distance of the swap-phase matrix from the ancilla-controlled form
+    SWAP . C(u R(theta_r), u R(theta + theta_r)) . (I (x) R(theta_a))."""
+    u, theta, theta_r = interaction.u, interaction.theta, interaction.theta_r
     alt = (
         swap_gate()
         @ controlled(u @ phase_gate(theta_r), u @ phase_gate(theta + theta_r), control=1)
-        @ tensor(I2, phase_gate(theta_a))
+        @ tensor(I2, phase_gate(interaction.theta_a))
     )
-    if np.linalg.norm(matrix - alt) >= 1e-12:
-        raise FactorizationFailure("swap-phase and ancilla-controlled forms disagree")
-    gate0 = phase_gate(theta_a) @ u @ phase_gate(theta_r)
-    gate1 = phase_gate(theta + theta_a) @ u @ phase_gate(theta + theta_r)
-    return SwapInteraction(
-        u=u, theta=theta, theta_r=theta_r, theta_a=theta_a,
-        matrix=matrix, gate0=gate0, gate1=gate1,
-    )
+    return float(np.linalg.norm(interaction.matrix - alt))
 
 
-def single_qubit_action(interaction: SwapInteraction, bit: int) -> np.ndarray:
-    """Gate applied by two interactions through an ancilla prepared in |bit>.
+def action_residual(interaction: SwapInteraction, bit: int) -> float:
+    """Phase-aligned distance of L L (psi (x) |bit>) from
+    gate_bit psi (x) u|bit> over the register basis states psi.
 
-    Verified on a spanning set: L L (psi (x) |bit>) = gate_bit psi (x) u|bit>,
-    up to one global phase per preparation branch (exactly zero when both
-    local rotation offsets vanish).
+    One global phase per preparation branch is allowed (it is exactly zero
+    when both local rotation offsets vanish).
     """
-    if bit not in (0, 1):
-        raise ValueError("preparation bit must be 0 or 1")
     anc = np.zeros(2, dtype=complex)
     anc[bit] = 1.0
     double = interaction.matrix @ interaction.matrix
-    out = np.stack(
-        [double @ np.kron(col, anc) for col in np.eye(2, dtype=complex)], axis=1
-    )
-    expected_gate = interaction.gate(bit)
+    basis = np.eye(2, dtype=complex)
+    out = np.stack([double @ np.kron(col, anc) for col in basis], axis=1)
     expected = np.stack(
-        [np.kron(expected_gate @ col, interaction.u @ anc) for col in np.eye(2, dtype=complex)],
-        axis=1,
+        [np.kron(interaction.gate(bit) @ col, interaction.u @ anc) for col in basis], axis=1
     )
-    if phase_aligned_dist(out, expected) >= 1e-11:
+    return phase_aligned_dist(out, expected)
+
+
+def single_qubit_action(interaction: SwapInteraction, bit: int) -> np.ndarray:
+    """Gate applied by two interactions through an ancilla prepared in |bit>."""
+    if bit not in (0, 1):
+        raise ValueError("preparation bit must be 0 or 1")
+    if action_residual(interaction, bit) >= ACTION_ATOL:
         raise FactorizationFailure("double-interaction action identity failed")
-    return expected_gate
+    return interaction.gate(bit)
 
 
-def entangling_gate(interaction: SwapInteraction) -> np.ndarray:
-    """Register gate induced by the three-interaction sequence (j, k, j).
+def sandwich(interaction: SwapInteraction) -> tuple[np.ndarray, float]:
+    """The three-interaction sequence L_j L_k L_j through a |0>-prepared ancilla.
 
-    Applies L_j L_k L_j to every register basis state with the ancilla in
-    |0>, checks the ancilla decouples in u|0>, and returns the closed form
-    (R(theta_a) u (x) I) . SCR(theta) . (R(theta_a) u R(theta_r) (x) R(theta_r)),
-    after checking the extracted operator matches it.
+    Returns the closed form
+    (R(theta_a) u (x) I) . SCR(theta) . (R(theta_a) u R(theta_r) (x) R(theta_r))
+    and the largest distance, over register basis states, between the
+    sequence's output and the closed form's output with the ancilla in u|0>.
     """
     l_on_j = embed_gate(interaction.matrix, [2, 0], 3)
     l_on_k = embed_gate(interaction.matrix, [1, 0], 3)
@@ -107,14 +120,17 @@ def entangling_gate(interaction: SwapInteraction) -> np.ndarray:
     anc_in = np.zeros(2, dtype=complex)
     anc_in[0] = 1.0
     anc_out = interaction.u @ anc_in
-    residual = 0.0
-    for col in range(4):
-        psi = np.zeros(4, dtype=complex)
-        psi[col] = 1.0
-        out = sequence @ np.kron(psi, anc_in)
-        expected = np.kron(closed @ psi, anc_out)
-        residual = max(residual, float(np.linalg.norm(out - expected)))
-    if residual >= 1e-11:
+    residual = max(
+        float(np.linalg.norm(sequence @ np.kron(col, anc_in) - np.kron(closed @ col, anc_out)))
+        for col in np.eye(4, dtype=complex)
+    )
+    return closed, residual
+
+
+def entangling_gate(interaction: SwapInteraction) -> np.ndarray:
+    """Register gate induced by the :func:`sandwich`, whose ancilla must exit in u|0>."""
+    closed, residual = sandwich(interaction)
+    if residual >= SANDWICH_ATOL:
         raise FactorizationFailure(
             f"ancilla failed to decouple in u|0> (residual {residual:.3e})"
         )
@@ -127,10 +143,6 @@ def cnot_power_residual(interaction: SwapInteraction) -> float:
     n = entangling_gate(interaction)
     cnot_low_control = controlled(I2, X, control=1)
     return dist_phase(np.linalg.matrix_power(n, 4), cnot_low_control)
-
-
-def is_cnot_fourth_power(interaction: SwapInteraction) -> bool:
-    return cnot_power_residual(interaction) < 1e-11
 
 
 def single_qubit_schedule(

@@ -7,7 +7,9 @@ to global phase throughout.
 """
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
@@ -240,14 +242,19 @@ class _WordLevels:
         return self.levels[m]
 
 
-_LEVELS_CACHE: dict[tuple, _WordLevels] = {}
+# Level sets kept for reuse across calls.  Levels depend only on their key,
+# so the cache changes no result; its bound caps the memory held.
+_LEVELS_CACHE_SIZE = 4
+
+
+@functools.lru_cache(maxsize=_LEVELS_CACHE_SIZE)
+def _cached_levels(g0: bytes, g1: bytes, dedup_atol: float) -> _WordLevels:
+    gens = [np.frombuffer(g, dtype=complex).reshape(2, 2) for g in (g0, g1)]
+    return _WordLevels(*gens, dedup_atol)
 
 
 def _levels_for(g0: np.ndarray, g1: np.ndarray, dedup_atol: float = 1e-10) -> _WordLevels:
-    key = (g0.tobytes(), g1.tobytes(), float(dedup_atol))
-    if key not in _LEVELS_CACHE:
-        _LEVELS_CACHE[key] = _WordLevels(g0.copy(), g1.copy(), dedup_atol)
-    return _LEVELS_CACHE[key]
+    return _cached_levels(g0.tobytes(), g1.tobytes(), float(dedup_atol))
 
 
 def _enumerate_words(gens: tuple[np.ndarray, np.ndarray], depth: int):
@@ -295,8 +302,8 @@ def synthesize(
     g0 = require_unitary(g0, "g0")
     g1 = require_unitary(g1, "g1")
     target = require_unitary(target, "target")
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    if not 0 < epsilon < math.inf:
+        raise ValueError("epsilon must be positive and finite")
 
     d = dist_phase(np.eye(2, dtype=complex), target)
     if d < epsilon:

@@ -157,6 +157,33 @@ def test_schedule_env_tolerance_override(capsys, monkeypatch):
     assert json.loads(out)["tolerance"] == 10.0
 
 
+@pytest.mark.parametrize(
+    "argv, env_tol, expected",
+    [
+        (["synth", "--gens", "T,HT", "--target", "1,0,0,0,0,0,2,0", "--eps", "0.1"], None, 2),
+        (["schedule", data_path("sct_single_qubit_1.sched"), "--claimed", "THT"], "abc", 2),
+        (["schedule", data_path("sct_single_qubit_1.sched"), "--claimed", "CZ"], None, 2),
+        (["synth", "--gens", "T,HT", "--target", "H", "--eps", "-1"], None, 2),
+        (["synth", "--gens", "T,HT", "--target", "H", "--eps", "nan"], None, 2),
+        (["schedule", "ENTANGLED", "--claimed", "CZ"], None, 1),
+    ],
+    ids=["non-unitary-target", "bad-env-tol", "claim-dimension", "negative-eps", "nan-eps", "entangled-exit"],
+)
+def test_error_paths_exit_without_traceback(capsys, monkeypatch, tmp_path, argv, env_tol, expected):
+    entangled = tmp_path / "entangled.sched"
+    entangled.write_text("REGISTER 2\nPREP a 0\nINT cz_plain 0 a\nINT cz_plain 1 a\n")
+    if env_tol is not None:
+        monkeypatch.setenv("MINQC_TOL", env_tol)
+    argv = [str(entangled) if a == "ENTANGLED" else a for a in argv]
+    code, out, err = run_cli(capsys, argv)
+    assert code == expected
+    if expected == 2:
+        assert out == "" and err.startswith(f"minqc {argv[0]}: ") and err.count("\n") == 1
+    else:
+        report = json.loads(out)
+        assert report["pass"] is False and report["error"].startswith("ancilla 'a' exits step 1")
+
+
 def test_invalid_arguments_exit_2():
     with pytest.raises(SystemExit) as exc:
         cli.main(["verify", "frobnicate"])

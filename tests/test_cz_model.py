@@ -1,12 +1,15 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from minqc import cz_model
 from minqc.catalog import cz_t_instance
 from minqc.cz_model import (
     cz_interaction,
     entangling_gate,
     expand_gate0_inverse,
-    mediated_cz_identity_holds,
+    mediated_cz_residuals,
     single_qubit_action,
     single_qubit_schedule,
     two_qubit_schedule,
@@ -210,7 +213,8 @@ def test_single_qubit_schedule_applies_selected_gate():
 
 
 def test_mediated_cz_identity():
-    assert mediated_cz_identity_holds()
+    loop, pauli = mediated_cz_residuals()
+    assert loop < cz_model.MEDIATED_LOOP_ATOL and pauli < cz_model.PAULI_LOOP_ATOL
 
 
 def test_mediated_cz_identity_breaks_without_final_factor():
@@ -221,3 +225,12 @@ def test_mediated_cz_identity_breaks_without_final_factor():
     broken = cx_ka @ cz_ja @ cx_ka  # final controlled-Z factor dropped
     expected = embed_oracle(cz, [2, 1], 3)
     assert np.linalg.norm(broken - expected) > 0.5
+
+
+def test_residuals_detect_a_tampered_instance():
+    # gate0 is read by all three identities (the sandwich never reads gate1)
+    k = cz_t_instance()
+    bad = dataclasses.replace(k, gate0=k.gate1)
+    assert cz_model.factorization_residual(bad) > cz_model.FACTORIZATION_ATOL
+    assert cz_model.action_residual(bad, 0) > cz_model.ACTION_ATOL
+    assert cz_model.sandwich(bad)[2] > cz_model.SANDWICH_ATOL

@@ -11,12 +11,10 @@ from minqc.gates import (
     controlled,
     cz_gate,
     hadamard,
-    normalize_angle,
     param_u2,
     param_u2_angles,
     phase_gate,
     sct_gate,
-    swap_controlled,
     swap_gate,
     t_gate,
 )
@@ -97,9 +95,6 @@ def test_swap_conjugation_exchanges_tensor_slots():
 
 
 def test_swap_controlled_composition():
-    rng = np.random.default_rng(6)
-    u = random_unitary(2, rng)
-    np.testing.assert_allclose(swap_controlled(u), swap_gate() @ controlled(I2, u), atol=0)
     np.testing.assert_allclose(sct_gate(), swap_gate() @ controlled(I2, t_gate()), atol=0)
 
 
@@ -155,10 +150,3 @@ def test_param_u2_angles_degenerate_branches():
     eta, phi, psi, theta = param_u2_angles(m)
     assert phi == 0.0 and abs(theta - np.pi / 2) < 1e-12
     np.testing.assert_allclose(param_u2(eta, phi, psi, theta), m, atol=1e-10)
-
-
-def test_normalize_angle_range():
-    for theta in (-0.1, 0.0, 2 * np.pi, 7.5, -13.2):
-        reduced = normalize_angle(theta)
-        assert 0.0 <= reduced < 2 * np.pi
-        assert abs(np.exp(1j * reduced) - np.exp(1j * theta)) < 1e-12

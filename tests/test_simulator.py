@@ -7,6 +7,8 @@ from minqc.errors import AncillaEntangledAtExit, ScheduleInvalid, ScheduleParseE
 from minqc.gates import cnot_gate, hadamard, swap_gate, t_gate
 from minqc.linalg import dist_phase, herm_exp
 from minqc.simulator import (
+    MAX_LIVE_QUBITS,
+    MAX_REGISTER_QUBITS,
     RunReport,
     Schedule,
     Step,
@@ -113,6 +115,22 @@ def test_schedule_validation_errors():
         Schedule(1, {"a": 0, "b": 1}, [Step("k", 0, "a")], {"k": np.eye(4)}).validate()
     with pytest.raises(ScheduleInvalid, match="non-bit"):
         Schedule(1, {"a": 2}, [Step("k", 0, "a")], {"k": np.eye(4)}).validate()
+
+
+def test_oversized_schedules_are_rejected_at_validation():
+    interactions = standard_interactions()
+    schedule_from_text(f"REGISTER {MAX_REGISTER_QUBITS}\n", interactions)
+    with pytest.raises(ScheduleInvalid, match="register of 40 qubits"):
+        schedule_from_text("REGISTER 40\n", interactions)
+
+    def all_live(ancillas):  # every ancilla stays live until the closing steps
+        names = [f"a{i}" for i in range(ancillas)]
+        opening = [f"PREP {a} 0\nINT cz_plain 0 {a}" for a in names]
+        return "\n".join(["REGISTER 1", *opening, *(f"INT cz_plain 0 {a}" for a in names)])
+
+    schedule_from_text(all_live(MAX_LIVE_QUBITS - 1), interactions)
+    with pytest.raises(ScheduleInvalid, match="live qubits"):
+        schedule_from_text(all_live(MAX_LIVE_QUBITS), interactions)
 
 
 def test_text_round_trip_is_canonical():

@@ -1,6 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from minqc import swap_model
 from minqc.catalog import sct_instance
 from minqc.errors import NonUnitaryArgument
 from minqc.gates import (
@@ -19,7 +22,6 @@ from minqc.simulator import run
 from minqc.swap_model import (
     cnot_power_residual,
     entangling_gate,
-    is_cnot_fourth_power,
     single_qubit_action,
     single_qubit_schedule,
     swap_interaction,
@@ -163,7 +165,6 @@ def test_random_nontrivial_angles_are_entangling():
 
 def test_cnot_fourth_power_for_sct_instance():
     l = sct_instance()
-    assert is_cnot_fourth_power(l)
     assert cnot_power_residual(l) < 1e-11
     n = entangling_gate(l)
     cnot_low = controlled(I2, np.array([[0, 1], [1, 0]], dtype=complex), control=1)
@@ -230,3 +231,12 @@ def test_random_parameter_diagnostic_reports_a_verdict():
 def test_rejects_non_unitary_dressing():
     with pytest.raises(NonUnitaryArgument):
         swap_interaction(2 * I2, 0.3)
+
+
+def test_residuals_detect_a_tampered_instance():
+    # u is read by all three identities (only the action reads gate0/gate1)
+    l = sct_instance()
+    bad = dataclasses.replace(l, u=l.gate1)
+    assert swap_model.factorization_residual(bad) > swap_model.FACTORIZATION_ATOL
+    assert swap_model.action_residual(bad, 0) > swap_model.ACTION_ATOL
+    assert swap_model.sandwich(bad)[1] > swap_model.SANDWICH_ATOL

@@ -1,8 +1,10 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
 
+from minqc import synth
 from minqc.errors import SearchExhausted
 from minqc.gates import I2, X, Z, hadamard, t_gate
 from minqc.linalg import dist_phase, random_unitary
@@ -187,9 +189,20 @@ def test_synthesize_exhausts_on_commuting_generators():
         synthesize(Z, t_gate(), X, 0.01, max_len=12)
 
 
-def test_synthesize_rejects_bad_epsilon():
+@pytest.mark.parametrize("epsilon", [0.0, math.nan, math.inf, -1.0])
+def test_synthesize_rejects_bad_epsilon(epsilon):
     with pytest.raises(ValueError):
-        synthesize(Z, t_gate(), X, 0.0)
+        synthesize(Z, t_gate(), X, epsilon)
+
+
+def test_level_cache_is_bounded():
+    # each epsilon below 1e-9 sets its own dedup tolerance, hence its own levels
+    g0, g1 = t_gate(), hadamard() @ t_gate()
+    for k in range(10, 15):
+        assert synthesize(g0, g1, g1, 10.0**-k).bits == (1,)
+    info = synth._cached_levels.cache_info()
+    assert info.maxsize == synth._LEVELS_CACHE_SIZE < 5
+    assert info.currsize <= info.maxsize
 
 
 def test_synthesize_recovers_reachable_targets():
