@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -24,7 +25,7 @@ import time
 import numpy as np
 
 from . import __version__, catalog, cz_model, hamiltonian, locequiv, swap_model, synth
-from .errors import AncillaEntangledAtExit, SearchExhausted
+from .errors import AncillaEntangledAtExit, DimensionMismatch, SearchExhausted
 from .gates import I2, Z, cz_gate, hadamard, swap_gate, t_gate
 from .linalg import dist_phase, random_unitary
 from .simulator import run as run_schedule
@@ -409,15 +410,33 @@ def cmd_synth(args) -> int:
     return 0
 
 
+def _schedule_tolerance(tol: float | None) -> float:
+    """``--tol``, else MINQC_TOL, else 1e-9; it must be positive and finite."""
+    source = "--tol"
+    if tol is None:
+        source, raw = "MINQC_TOL", os.environ.get("MINQC_TOL", "1e-9")
+        try:
+            tol = float(raw)
+        except ValueError:
+            raise ValueError(f"MINQC_TOL={raw!r} is not a number") from None
+    if not 0 < tol < math.inf:
+        raise ValueError(f"{source} must be positive and finite, got {tol}")
+    return tol
+
+
 def cmd_schedule(args) -> int:
     start = time.perf_counter()
-    tol = args.tol
-    if tol is None:
-        tol = float(os.environ.get("MINQC_TOL", "1e-9"))
+    tol = _schedule_tolerance(args.tol)
     with open(args.file) as fh:
         text = fh.read()
     schedule = schedule_from_text(text, catalog.standard_interactions())
     claimed = catalog.parse_gate_spec(args.claimed)
+    reg_dim = 2**schedule.register_size
+    if claimed.shape != (reg_dim, reg_dim):
+        raise DimensionMismatch(
+            f"claimed gate is {claimed.shape[0]}x{claimed.shape[1]}, "
+            f"the {schedule.register_size}-qubit register needs {reg_dim}x{reg_dim}"
+        )
     report = {
         "schema_version": SCHEMA_VERSION,
         "command": "schedule",

@@ -2,10 +2,19 @@
 
 A schedule is a sequence of two-qubit interactions, each touching exactly one
 register qubit and one ancilla; ancillas are prepared once in a computational
-basis state and never operated on directly.  Ancillas attach to the live
-statevector at first use and are factored out (with a purity check) right
-after their last use, so the live dimension stays at
-2^(register_size + concurrently live ancillas).
+basis state and never operated on directly.
+
+The run splits the steps into segments: maximal runs of overlapping ancilla
+lifetimes (first to last use), which tile the step list.  No ancilla is live
+across a segment boundary, so each segment acts on the register as one
+operator on the register qubits it touches.  A segment is simulated on every
+basis input of just those qubits: ancillas attach to the live statevector at
+first use and are factored out (with a purity check) right after their last
+use, so the live dimension is 2^(segment qubits + concurrently live
+ancillas).  The segment operators are then composed into the 2^n x 2^n
+register operator.  By linearity an ancilla exits in one fixed pure state for
+every register input exactly when it does so for every basis input of its
+segment's qubits.
 
 Text format, one directive per line ('#' starts a comment):
 
@@ -33,9 +42,15 @@ DECOUPLE_ATOL = 1e-10
 WARN_ATOL = 1e-6
 
 # Size caps checked before any allocation: the register operator has
-# 4^register_size entries, the live state 2^(register + live ancillas).
+# 4^register_size entries, and a segment's live state is at most
+# 2^(register + live ancillas).
 MAX_REGISTER_QUBITS = 12
 MAX_LIVE_QUBITS = 20
+
+# Segment composition: fuse consecutive segment operators on at most this many
+# register qubits, and build the register operator this many columns at a time.
+FUSE_QUBITS = 4
+COLUMN_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -96,9 +111,14 @@ class RunReport:
     register_unitary: np.ndarray
     ancilla_exit_states: dict[str, np.ndarray]
     purity_deficits: dict[str, float]
-    unitarity_residual: float
     warnings: list[str] = field(default_factory=list)
     residuals: dict[str, float] = field(default_factory=dict)
+
+    @property
+    def unitarity_residual(self) -> float:
+        """||U^dag U - I||_F of the register operator, computed on access (a 2^3n product)."""
+        u = self.register_unitary
+        return float(np.linalg.norm(u.conj().T @ u - np.eye(len(u))))
 
 
 def _basis_bit(bit: int) -> np.ndarray:
@@ -115,10 +135,14 @@ def _canonical_phase(v: np.ndarray) -> np.ndarray:
 def run(schedule: Schedule, prep_overrides: dict[str, np.ndarray] | None = None) -> RunReport:
     """Simulate the schedule on all register basis inputs.
 
-    Reconstructs the induced register operator column by column; each ancilla
-    must exit in the same pure state for every register input (up to the one
-    global phase that is factored into the register operator), otherwise
-    :class:`AncillaEntangledAtExit` is raised naming the offending step.
+    Reconstructs the induced register operator segment by segment (see the
+    module docstring); each ancilla must exit in the same pure state for every
+    input of its segment's register qubits (up to the one global phase that
+    is factored into the register operator), otherwise
+    :class:`AncillaEntangledAtExit` is raised naming the offending step, the
+    segment's register qubits and the sub-register input.  A schedule that is
+    one segment touching every register qubit is simulated on the register
+    directly.
 
     ``prep_overrides`` replaces selected ancillas' computational-basis
     preparations with arbitrary pure states (used to probe preparation
@@ -126,19 +150,73 @@ def run(schedule: Schedule, prep_overrides: dict[str, np.ndarray] | None = None)
     """
     schedule.validate()
     overrides = prep_overrides or {}
-    last_use = {step.ancilla: i for i, step in enumerate(schedule.steps)}
+    segments = [
+        (_run_segment(schedule, overrides, start, stop, qubits), qubits)
+        for start, stop, qubits in _segments(schedule.steps)
+    ]
+    if len(segments) == 1 and len(segments[0][1]) == schedule.register_size:
+        return segments[0][0]
 
-    reg_dim = 2**schedule.register_size
-    register_unitary = np.empty((reg_dim, reg_dim), dtype=complex)
+    register_unitary = _compose(
+        [(report.register_unitary, qubits) for report, qubits in segments], schedule.register_size
+    )
     exit_states: dict[str, np.ndarray] = {}
-    deficits: dict[str, float] = {a: 0.0 for a in schedule.preps}
+    deficits: dict[str, float] = {}
+    warnings: list[str] = []
+    for report, _ in segments:
+        exit_states.update(report.ancilla_exit_states)
+        deficits.update(report.purity_deficits)
+        warnings += report.warnings
+    return RunReport(
+        register_unitary=register_unitary,
+        ancilla_exit_states=exit_states,
+        purity_deficits=deficits,
+        warnings=warnings,
+    )
+
+
+def _segments(steps: list[Step]) -> list[tuple[int, int, tuple[int, ...]]]:
+    """Maximal runs of overlapping ancilla lifetimes, as (start, stop, register qubits).
+
+    Each run ends at the first step that closes every lifetime opened in it,
+    so the runs tile the steps and no ancilla is live across a boundary.
+    """
+    last_use = {step.ancilla: i for i, step in enumerate(steps)}
+    segments = []
+    start = end = 0
+    for i, step in enumerate(steps):
+        end = max(end, last_use[step.ancilla])
+        if i == end:
+            qubits = tuple(sorted({s.register_qubit for s in steps[start:i + 1]}))
+            segments.append((start, i + 1, qubits))
+            start = i + 1
+    return segments
+
+
+def _run_segment(
+    schedule: Schedule, overrides: dict[str, np.ndarray], start: int, stop: int, qubits: tuple[int, ...]
+) -> RunReport:
+    """Run ``steps[start:stop]``, a segment, on the sub-register ``qubits``.
+
+    Simulates the steps on each of the 2^k basis inputs of the segment's k
+    register qubits (sub-register qubit j is register qubit ``qubits[j]``);
+    the report's operator is the 2^k x 2^k operator they induce, and its
+    exit states, deficits and warnings are those of the segment's ancillas.
+    """
+    local = {q: j for j, q in enumerate(qubits)}
+    last_use = {schedule.steps[i].ancilla: i for i in range(start, stop)}
+    sub_dim = 2 ** len(qubits)
+    operator = np.empty((sub_dim, sub_dim), dtype=complex)
+    exit_states: dict[str, np.ndarray] = {}
+    deficits: dict[str, float] = {a: 0.0 for a in schedule.preps if a in last_use}
     warnings: list[str] = []
 
-    for col in range(reg_dim):
-        state = StateVec.basis(schedule.register_size, col)
+    for col in range(sub_dim):
+        state = StateVec.basis(len(qubits), col)
         positions: dict[str, int] = {}
 
-        for i, step in enumerate(schedule.steps):
+        for i in range(start, stop):
+            step = schedule.steps[i]
             if step.ancilla not in positions:
                 prep = overrides.get(step.ancilla)
                 if prep is None:
@@ -149,7 +227,7 @@ def run(schedule: Schedule, prep_overrides: dict[str, np.ndarray] | None = None)
                 positions[step.ancilla] = state.num_qubits
                 state = StateVec.from_amplitudes(np.kron(prep, state.amplitudes))
             gate = schedule.interactions[step.interaction]
-            state = apply_gate(state, gate, [step.register_qubit, positions[step.ancilla]])
+            state = apply_gate(state, gate, [local[step.register_qubit], positions[step.ancilla]])
 
             if last_use[step.ancilla] == i:
                 detached_pos = positions.pop(step.ancilla)
@@ -162,12 +240,14 @@ def run(schedule: Schedule, prep_overrides: dict[str, np.ndarray] | None = None)
                 if own_deficit >= WARN_ATOL:
                     raise AncillaEntangledAtExit(
                         f"ancilla {step.ancilla!r} exits step {i} entangled with the register "
-                        f"(purity deficit {own_deficit:.3e}, register input {col})"
+                        f"(purity deficit {own_deficit:.3e}, sub-register input {col} of "
+                        f"register qubits {list(qubits)})"
                     )
                 if ref_deficit >= WARN_ATOL:
                     raise AncillaEntangledAtExit(
                         f"ancilla {step.ancilla!r} exits step {i} in a different state for "
-                        f"register input {col} (residual {ref_deficit:.3e})"
+                        f"sub-register input {col} of register qubits {list(qubits)} "
+                        f"(residual {ref_deficit:.3e})"
                     )
                 deficit = max(own_deficit, ref_deficit)
                 if deficit >= DECOUPLE_ATOL:
@@ -177,18 +257,59 @@ def run(schedule: Schedule, prep_overrides: dict[str, np.ndarray] | None = None)
                 deficits[step.ancilla] = max(deficits[step.ancilla], deficit)
                 exit_states.setdefault(step.ancilla, chi)
 
-        register_unitary[:, col] = state.amplitudes
+        operator[:, col] = state.amplitudes
 
-    unitarity_residual = float(
-        np.linalg.norm(register_unitary.conj().T @ register_unitary - np.eye(reg_dim))
-    )
     return RunReport(
-        register_unitary=register_unitary,
+        register_unitary=operator,
         ancilla_exit_states=exit_states,
         purity_deficits=deficits,
-        unitarity_residual=unitarity_residual,
         warnings=warnings,
     )
+
+
+def _compose(operators: list[tuple[np.ndarray, tuple[int, ...]]], register_size: int) -> np.ndarray:
+    """Register operator of the segment operators applied in order.
+
+    Consecutive operators are first fused while their joint qubits number at
+    most ``FUSE_QUBITS``, which cuts the passes over the register operator.
+    The register operator is then built ``COLUMN_BLOCK`` columns at a time, so
+    each block stays in cache while every fused operator is applied to it.
+    """
+    fused: list[tuple[np.ndarray, tuple[int, ...]]] = []
+    for operator, qubits in operators:
+        if fused:
+            prev, prev_qubits = fused[-1]
+            joint = tuple(sorted(set(prev_qubits) | set(qubits)))
+            if len(joint) <= FUSE_QUBITS:
+                pos = {q: j for j, q in enumerate(joint)}
+                product = np.eye(2 ** len(joint), dtype=complex)
+                product = _apply_on_rows(product, prev, [pos[q] for q in prev_qubits])
+                product = _apply_on_rows(product, operator, [pos[q] for q in qubits])
+                fused[-1] = (product, joint)
+                continue
+        fused.append((operator, qubits))
+
+    reg_dim = 2**register_size
+    width = min(reg_dim, COLUMN_BLOCK)
+    register_unitary = np.empty((reg_dim, reg_dim), dtype=complex)
+    for col in range(0, reg_dim, width):
+        block = np.eye(reg_dim, width, -col, dtype=complex)
+        for operator, qubits in fused:
+            block = _apply_on_rows(block, operator, qubits)
+        register_unitary[:, col:col + width] = block
+    return register_unitary
+
+
+def _apply_on_rows(block: np.ndarray, operator: np.ndarray, qubits) -> np.ndarray:
+    """``operator`` on ``qubits`` (its qubit j is ``qubits[j]``) times ``block``.
+
+    The rows of ``block`` are basis states of the qubits; its 2^b columns
+    enter as b extra low-order qubits of one statevector.
+    """
+    rows, cols = block.shape
+    low = cols.bit_length() - 1
+    state = StateVec(block.reshape(-1), rows.bit_length() - 1 + low)
+    return apply_gate(state, operator, [low + q for q in reversed(qubits)]).amplitudes.reshape(rows, cols)
 
 
 def _detach(state: StateVec, position: int, reference: np.ndarray | None):
@@ -196,9 +317,9 @@ def _detach(state: StateVec, position: int, reference: np.ndarray | None):
 
     Returns (rest, exit_state, own_deficit, ref_deficit): the purity deficit
     of the qubit's reduced state, and the residual against the pinned exit
-    state.  The exit state is pinned on the first register column and reused
-    for the rest, which both enforces a consistent exit across columns and
-    keeps the factored phases coherent so the register operator is well
+    state.  The exit state is pinned on the segment's first input column and
+    reused for the rest, which both enforces a consistent exit across columns
+    and keeps the factored phases coherent so the register operator is well
     defined up to one overall phase.
     """
     n = state.num_qubits

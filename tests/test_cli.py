@@ -157,28 +157,46 @@ def test_schedule_env_tolerance_override(capsys, monkeypatch):
     assert json.loads(out)["tolerance"] == 10.0
 
 
+SCT1 = data_path("sct_single_qubit_1.sched")
+
+
+def _unreachable(*args, **kwargs):
+    raise AssertionError("the schedule was simulated before its input was rejected")
+
+
 @pytest.mark.parametrize(
-    "argv, env_tol, expected",
+    "argv, env_tol, expected, fragment",
     [
-        (["synth", "--gens", "T,HT", "--target", "1,0,0,0,0,0,2,0", "--eps", "0.1"], None, 2),
-        (["schedule", data_path("sct_single_qubit_1.sched"), "--claimed", "THT"], "abc", 2),
-        (["schedule", data_path("sct_single_qubit_1.sched"), "--claimed", "CZ"], None, 2),
-        (["synth", "--gens", "T,HT", "--target", "H", "--eps", "-1"], None, 2),
-        (["synth", "--gens", "T,HT", "--target", "H", "--eps", "nan"], None, 2),
-        (["schedule", "ENTANGLED", "--claimed", "CZ"], None, 1),
+        (["synth", "--gens", "T,HT", "--target", "1,0,0,0,0,0,2,0", "--eps", "0.1"], None, 2, ""),
+        (["schedule", SCT1, "--claimed", "THT"], "abc", 2, "MINQC_TOL='abc'"),
+        (["schedule", SCT1, "--claimed", "CZ"], None, 2, "needs 2x2"),
+        (["synth", "--gens", "T,HT", "--target", "H", "--eps", "-1"], None, 2, ""),
+        (["synth", "--gens", "T,HT", "--target", "H", "--eps", "nan"], None, 2, ""),
+        (["schedule", "ENTANGLED", "--claimed", "CZ"], None, 1, ""),
+        (["schedule", SCT1, "--claimed", "THT", "--tol", "nan"], None, 2, "--tol"),
+        (["schedule", SCT1, "--claimed", "THT", "--tol", "-1"], None, 2, "--tol"),
+        (["schedule", SCT1, "--claimed", "THT", "--tol", "inf"], None, 2, "--tol"),
+        (["schedule", SCT1, "--claimed", "THT"], "nan", 2, "MINQC_TOL"),
+        (["schedule", SCT1, "--claimed", "THT"], "0", 2, "MINQC_TOL"),
     ],
-    ids=["non-unitary-target", "bad-env-tol", "claim-dimension", "negative-eps", "nan-eps", "entangled-exit"],
+    ids=[
+        "non-unitary-target", "bad-env-tol", "claim-dimension", "negative-eps", "nan-eps", "entangled-exit",
+        "nan-tol", "negative-tol", "inf-tol", "nan-env-tol", "zero-env-tol",
+    ],
 )
-def test_error_paths_exit_without_traceback(capsys, monkeypatch, tmp_path, argv, env_tol, expected):
+def test_error_paths_exit_without_traceback(capsys, monkeypatch, tmp_path, argv, env_tol, expected, fragment):
     entangled = tmp_path / "entangled.sched"
     entangled.write_text("REGISTER 2\nPREP a 0\nINT cz_plain 0 a\nINT cz_plain 1 a\n")
     if env_tol is not None:
         monkeypatch.setenv("MINQC_TOL", env_tol)
+    if expected == 2:  # input errors are caught before any simulation
+        monkeypatch.setattr(cli, "run_schedule", _unreachable)
     argv = [str(entangled) if a == "ENTANGLED" else a for a in argv]
     code, out, err = run_cli(capsys, argv)
     assert code == expected
     if expected == 2:
         assert out == "" and err.startswith(f"minqc {argv[0]}: ") and err.count("\n") == 1
+        assert fragment in err
     else:
         report = json.loads(out)
         assert report["pass"] is False and report["error"].startswith("ancilla 'a' exits step 1")
