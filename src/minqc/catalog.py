@@ -1,13 +1,14 @@
 """Named gates, gate-expression parsing, matrix files, standard interactions.
 
 Gate expressions are products of named gates read left to right ("THT" is
-T.H.T) with optional phase gates "R(<radians>)".  Matrix literals are
-comma-separated reals, (re, im) per entry row-major: 8 numbers for 2x2,
-32 for 4x4.  Matrix files hold whitespace-separated complex entries
-(Python literal syntax), 4 or 16 of them.
+T.H.T) with optional phase gates "R(<radians>)", the angle finite.  Matrix
+literals are comma-separated reals, (re, im) per entry row-major: 8 numbers
+for 2x2, 32 for 4x4.  Matrix files hold whitespace-separated complex entries
+(Python literal syntax), 4 or 16 of them.  Every entry must be finite.
 """
 from __future__ import annotations
 
+import math
 import os
 import re
 
@@ -62,9 +63,12 @@ def parse_gate_expr(expr: str) -> np.ndarray:
             raise ValueError(f"cannot parse gate expression {expr!r} at position {pos}")
         if m.group(1) is not None:
             try:
-                factors.append(phase_gate(float(m.group(1))))
+                angle = float(m.group(1))
             except ValueError:
                 raise ValueError(f"bad angle {m.group(1)!r} in {expr!r}")
+            if not math.isfinite(angle):
+                raise ValueError(f"non-finite angle {m.group(1)!r} in {expr!r}")
+            factors.append(phase_gate(angle))
         else:
             factors.append(table[m.group(0)])
         pos = m.end()
@@ -87,8 +91,7 @@ def parse_matrix_literal(text: str) -> np.ndarray:
         dim = 4
     else:
         raise ValueError("matrix literal needs 8 (2x2) or 32 (4x4) comma-separated reals")
-    entries = np.array(values[0::2]) + 1j * np.array(values[1::2])
-    return entries.reshape(dim, dim)
+    return np.array(values).view(complex).reshape(dim, dim)
 
 
 def load_matrix_file(path: str) -> np.ndarray:
@@ -115,10 +118,14 @@ def parse_gate_spec(spec: str, rng: np.random.Generator | None = None) -> np.nda
             raise ValueError("'random' gate requested without a seeded generator")
         return random_unitary(2, rng)
     if "," in spec:
-        return parse_matrix_literal(spec)
-    if os.path.exists(spec):
-        return load_matrix_file(spec)
-    return parse_gate_expr(spec)
+        matrix = parse_matrix_literal(spec)
+    elif os.path.exists(spec):
+        matrix = load_matrix_file(spec)
+    else:
+        return parse_gate_expr(spec)
+    if not np.isfinite(matrix).all():
+        raise ValueError(f"gate {spec!r} has a non-finite entry")
+    return matrix
 
 
 def cz_t_instance(eta: float = 0.0, zeta: float = 0.0) -> cz_model.CZInteraction:

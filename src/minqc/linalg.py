@@ -1,4 +1,4 @@
-"""Dense complex linear algebra for few-qubit operators and statevectors.
+"""Dense complex linear algebra for few-qubit operators and state arrays.
 
 Conventions, used consistently everywhere in this package:
   * matrices are complex128 ndarrays, row-major;
@@ -9,8 +9,6 @@ Conventions, used consistently everywhere in this package:
     on qubit 0.
 """
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -84,43 +82,20 @@ def dist_phase(a: np.ndarray, b: np.ndarray) -> float:
     return phase_aligned_dist(as_matrix(a), as_matrix(b))
 
 
-@dataclass(frozen=True)
-class StateVec:
-    """Statevector of ``num_qubits`` qubits, little-endian amplitude order."""
+def apply_gate(state: np.ndarray, g: np.ndarray, targets: list[int]) -> np.ndarray:
+    """Apply ``g`` to the listed qubits of ``state`` (identity elsewhere).
 
-    amplitudes: np.ndarray
-    num_qubits: int
-
-    @staticmethod
-    def from_amplitudes(amps) -> "StateVec":
-        amps = np.asarray(amps, dtype=complex).reshape(-1)
-        n = int(np.log2(len(amps)))
-        if 2**n != len(amps):
-            raise DimensionMismatch(f"amplitude vector of length {len(amps)} is not 2**n")
-        return StateVec(amps, n)
-
-    @staticmethod
-    def basis(num_qubits: int, index: int) -> "StateVec":
-        amps = np.zeros(2**num_qubits, dtype=complex)
-        amps[index] = 1.0
-        return StateVec(amps, num_qubits)
-
-    @staticmethod
-    def zero(num_qubits: int) -> "StateVec":
-        return StateVec.basis(num_qubits, 0)
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
-
-def apply_gate(psi: StateVec, g: np.ndarray, targets: list[int]) -> StateVec:
-    """Apply ``g`` to the listed qubits (identity elsewhere).
-
-    ``targets[0]`` addresses the highest-index qubit slot of ``g``, matching
-    the ``tensor`` convention; order is significant for non-symmetric gates.
+    The first axis of ``state`` holds the 2^n basis amplitudes, little-endian;
+    any trailing axes are batch columns, each transformed alike.  Returns an
+    array of the same shape.  ``targets[0]`` addresses the highest-index qubit
+    slot of ``g``, matching the ``tensor`` convention; order is significant
+    for non-symmetric gates.
     """
     g = as_matrix(g)
-    n = psi.num_qubits
+    state = np.asarray(state)
+    n = state.shape[0].bit_length() - 1
+    if state.shape[0] != 2**n:
+        raise DimensionMismatch(f"state axis of length {state.shape[0]} is not 2**n")
     m = len(targets)
     if g.shape[0] != 2**m:
         raise BadTargets(f"gate dimension {g.shape[0]} does not match {m} targets")
@@ -128,21 +103,14 @@ def apply_gate(psi: StateVec, g: np.ndarray, targets: list[int]) -> StateVec:
         raise BadTargets(f"targets {targets} invalid for {n} qubits")
     # axis for qubit q in the reshaped tensor is n-1-q (row-major, little-endian)
     axes = [n - 1 - t for t in targets]
-    tensor_state = psi.amplitudes.reshape([2] * n)
-    tensor_state = np.moveaxis(tensor_state, axes, range(m))
-    block = tensor_state.reshape(2**m, -1)
-    block = g @ block
-    tensor_state = np.moveaxis(block.reshape([2] * n), range(m), axes)
-    return StateVec(tensor_state.reshape(-1), n)
+    moved = np.moveaxis(state.reshape([2] * n + [-1]), axes, range(m))
+    block = g @ moved.reshape(2**m, -1)
+    return np.moveaxis(block.reshape(moved.shape), range(m), axes).reshape(state.shape)
 
 
 def embed_gate(g: np.ndarray, targets: list[int], num_qubits: int) -> np.ndarray:
     """Dense 2^n x 2^n operator acting as ``g`` on ``targets``, identity elsewhere."""
-    dim = 2**num_qubits
-    out = np.empty((dim, dim), dtype=complex)
-    for col in range(dim):
-        out[:, col] = apply_gate(StateVec.basis(num_qubits, col), g, targets).amplitudes
-    return out
+    return apply_gate(np.eye(2**num_qubits, dtype=complex), g, targets)
 
 
 def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:

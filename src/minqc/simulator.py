@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import AncillaEntangledAtExit, ScheduleInvalid, ScheduleParseError
-from .linalg import StateVec, apply_gate, dist_phase
+from .linalg import apply_gate, dist_phase
 
 # Purity-deficit bands: below DECOUPLE_ATOL is clean product form, between the
 # two the run proceeds with a warning, above WARN_ATOL the ancilla is declared
@@ -121,12 +121,6 @@ class RunReport:
         return float(np.linalg.norm(u.conj().T @ u - np.eye(len(u))))
 
 
-def _basis_bit(bit: int) -> np.ndarray:
-    v = np.zeros(2, dtype=complex)
-    v[bit] = 1.0
-    return v
-
-
 def _canonical_phase(v: np.ndarray) -> np.ndarray:
     pivot = v[int(np.argmax(np.abs(v)))]
     return v * (abs(pivot) / pivot)
@@ -140,9 +134,7 @@ def run(schedule: Schedule, prep_overrides: dict[str, np.ndarray] | None = None)
     input of its segment's register qubits (up to the one global phase that
     is factored into the register operator), otherwise
     :class:`AncillaEntangledAtExit` is raised naming the offending step, the
-    segment's register qubits and the sub-register input.  A schedule that is
-    one segment touching every register qubit is simulated on the register
-    directly.
+    segment's register qubits and the sub-register input.
 
     ``prep_overrides`` replaces selected ancillas' computational-basis
     preparations with arbitrary pure states (used to probe preparation
@@ -150,29 +142,14 @@ def run(schedule: Schedule, prep_overrides: dict[str, np.ndarray] | None = None)
     """
     schedule.validate()
     overrides = prep_overrides or {}
-    segments = [
-        (_run_segment(schedule, overrides, start, stop, qubits), qubits)
+    # the segments fill in the ancilla fields; the operator is composed last
+    report = RunReport(np.empty((0, 0), dtype=complex), {}, {})
+    operators = [
+        (_run_segment(schedule, overrides, report, start, stop, qubits), qubits)
         for start, stop, qubits in _segments(schedule.steps)
     ]
-    if len(segments) == 1 and len(segments[0][1]) == schedule.register_size:
-        return segments[0][0]
-
-    register_unitary = _compose(
-        [(report.register_unitary, qubits) for report, qubits in segments], schedule.register_size
-    )
-    exit_states: dict[str, np.ndarray] = {}
-    deficits: dict[str, float] = {}
-    warnings: list[str] = []
-    for report, _ in segments:
-        exit_states.update(report.ancilla_exit_states)
-        deficits.update(report.purity_deficits)
-        warnings += report.warnings
-    return RunReport(
-        register_unitary=register_unitary,
-        ancilla_exit_states=exit_states,
-        purity_deficits=deficits,
-        warnings=warnings,
-    )
+    report.register_unitary = _compose(operators, schedule.register_size)
+    return report
 
 
 def _segments(steps: list[Step]) -> list[tuple[int, int, tuple[int, ...]]]:
@@ -194,25 +171,31 @@ def _segments(steps: list[Step]) -> list[tuple[int, int, tuple[int, ...]]]:
 
 
 def _run_segment(
-    schedule: Schedule, overrides: dict[str, np.ndarray], start: int, stop: int, qubits: tuple[int, ...]
-) -> RunReport:
+    schedule: Schedule,
+    overrides: dict[str, np.ndarray],
+    report: RunReport,
+    start: int,
+    stop: int,
+    qubits: tuple[int, ...],
+) -> np.ndarray:
     """Run ``steps[start:stop]``, a segment, on the sub-register ``qubits``.
 
     Simulates the steps on each of the 2^k basis inputs of the segment's k
-    register qubits (sub-register qubit j is register qubit ``qubits[j]``);
-    the report's operator is the 2^k x 2^k operator they induce, and its
-    exit states, deficits and warnings are those of the segment's ancillas.
+    register qubits (sub-register qubit j is register qubit ``qubits[j]``)
+    and returns the 2^k x 2^k operator they induce.  The exit states,
+    deficits and warnings of the segment's ancillas go into ``report``.
     """
     local = {q: j for j, q in enumerate(qubits)}
     last_use = {schedule.steps[i].ancilla: i for i in range(start, stop)}
     sub_dim = 2 ** len(qubits)
     operator = np.empty((sub_dim, sub_dim), dtype=complex)
-    exit_states: dict[str, np.ndarray] = {}
-    deficits: dict[str, float] = {a: 0.0 for a in schedule.preps if a in last_use}
-    warnings: list[str] = []
+    exit_states = report.ancilla_exit_states
+    deficits = report.purity_deficits
+    deficits.update({a: 0.0 for a in schedule.preps if a in last_use})
 
     for col in range(sub_dim):
-        state = StateVec.basis(len(qubits), col)
+        state = np.zeros(sub_dim, dtype=complex)
+        state[col] = 1.0
         positions: dict[str, int] = {}
 
         for i in range(start, stop):
@@ -220,12 +203,12 @@ def _run_segment(
             if step.ancilla not in positions:
                 prep = overrides.get(step.ancilla)
                 if prep is None:
-                    prep = _basis_bit(schedule.preps[step.ancilla])
+                    prep = np.eye(2, dtype=complex)[schedule.preps[step.ancilla]]
                 else:
                     prep = np.asarray(prep, dtype=complex).reshape(2)
                     prep = prep / np.linalg.norm(prep)
-                positions[step.ancilla] = state.num_qubits
-                state = StateVec.from_amplitudes(np.kron(prep, state.amplitudes))
+                positions[step.ancilla] = len(qubits) + len(positions)
+                state = np.kron(prep, state)
             gate = schedule.interactions[step.interaction]
             state = apply_gate(state, gate, [local[step.register_qubit], positions[step.ancilla]])
 
@@ -251,20 +234,15 @@ def _run_segment(
                     )
                 deficit = max(own_deficit, ref_deficit)
                 if deficit >= DECOUPLE_ATOL:
-                    warnings.append(
+                    report.warnings.append(
                         f"ancilla {step.ancilla!r}: purity deficit {deficit:.3e} above clean threshold"
                     )
                 deficits[step.ancilla] = max(deficits[step.ancilla], deficit)
                 exit_states.setdefault(step.ancilla, chi)
 
-        operator[:, col] = state.amplitudes
+        operator[:, col] = state
 
-    return RunReport(
-        register_unitary=operator,
-        ancilla_exit_states=exit_states,
-        purity_deficits=deficits,
-        warnings=warnings,
-    )
+    return operator
 
 
 def _compose(operators: list[tuple[np.ndarray, tuple[int, ...]]], register_size: int) -> np.ndarray:
@@ -283,8 +261,8 @@ def _compose(operators: list[tuple[np.ndarray, tuple[int, ...]]], register_size:
             if len(joint) <= FUSE_QUBITS:
                 pos = {q: j for j, q in enumerate(joint)}
                 product = np.eye(2 ** len(joint), dtype=complex)
-                product = _apply_on_rows(product, prev, [pos[q] for q in prev_qubits])
-                product = _apply_on_rows(product, operator, [pos[q] for q in qubits])
+                product = apply_gate(product, prev, [pos[q] for q in reversed(prev_qubits)])
+                product = apply_gate(product, operator, [pos[q] for q in reversed(qubits)])
                 fused[-1] = (product, joint)
                 continue
         fused.append((operator, qubits))
@@ -295,24 +273,12 @@ def _compose(operators: list[tuple[np.ndarray, tuple[int, ...]]], register_size:
     for col in range(0, reg_dim, width):
         block = np.eye(reg_dim, width, -col, dtype=complex)
         for operator, qubits in fused:
-            block = _apply_on_rows(block, operator, qubits)
+            block = apply_gate(block, operator, qubits[::-1])
         register_unitary[:, col:col + width] = block
     return register_unitary
 
 
-def _apply_on_rows(block: np.ndarray, operator: np.ndarray, qubits) -> np.ndarray:
-    """``operator`` on ``qubits`` (its qubit j is ``qubits[j]``) times ``block``.
-
-    The rows of ``block`` are basis states of the qubits; its 2^b columns
-    enter as b extra low-order qubits of one statevector.
-    """
-    rows, cols = block.shape
-    low = cols.bit_length() - 1
-    state = StateVec(block.reshape(-1), rows.bit_length() - 1 + low)
-    return apply_gate(state, operator, [low + q for q in reversed(qubits)]).amplitudes.reshape(rows, cols)
-
-
-def _detach(state: StateVec, position: int, reference: np.ndarray | None):
+def _detach(state: np.ndarray, position: int, reference: np.ndarray | None):
     """Factor one qubit out of the state.
 
     Returns (rest, exit_state, own_deficit, ref_deficit): the purity deficit
@@ -322,16 +288,16 @@ def _detach(state: StateVec, position: int, reference: np.ndarray | None):
     and keeps the factored phases coherent so the register operator is well
     defined up to one overall phase.
     """
-    n = state.num_qubits
+    n = len(state).bit_length() - 1
     axis = n - 1 - position
-    block = np.moveaxis(state.amplitudes.reshape([2] * n), axis, 0).reshape(2, -1)
+    block = np.moveaxis(state.reshape([2] * n), axis, 0).reshape(2, -1)
     rho = block @ block.conj().T
     evals, evecs = np.linalg.eigh(rho)
     own_deficit = float(max(0.0, 1.0 - evals[-1] / evals.sum()))
     chi = reference if reference is not None else _canonical_phase(evecs[:, -1])
     rest = chi.conj() @ block
     ref_deficit = float(max(0.0, 1.0 - np.linalg.norm(rest) ** 2 / evals.sum()))
-    return StateVec.from_amplitudes(rest), chi, own_deficit, ref_deficit
+    return rest, chi, own_deficit, ref_deficit
 
 
 def verify_against(report: RunReport, claimed: np.ndarray, tol: float, label: str = "claimed") -> bool:
@@ -368,7 +334,7 @@ def schedule_from_text(text: str, interactions: dict[str, np.ndarray]) -> Schedu
         if kind == "REGISTER":
             if register_size is not None:
                 raise ScheduleParseError(line_no, "duplicate REGISTER directive")
-            if len(tokens) != 2 or not tokens[1].isdigit():
+            if len(tokens) != 2 or not tokens[1].isdecimal():
                 raise ScheduleParseError(line_no, "expected: REGISTER <positive int>")
             register_size = int(tokens[1])
         elif kind == "PREP":

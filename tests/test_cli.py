@@ -178,25 +178,38 @@ def _unreachable(*args, **kwargs):
         (["schedule", SCT1, "--claimed", "THT", "--tol", "inf"], None, 2, "--tol"),
         (["schedule", SCT1, "--claimed", "THT"], "nan", 2, "MINQC_TOL"),
         (["schedule", SCT1, "--claimed", "THT"], "0", 2, "MINQC_TOL"),
+        (["schedule", SCT1, "--claimed", "R(nan)"], None, 2, "non-finite angle"),
+        (["schedule", SCT1, "--claimed", "R(inf)"], None, 2, "non-finite angle"),
+        (["schedule", SCT1, "--claimed", "R(1e400)"], None, 2, "non-finite angle"),
+        (["schedule", SCT1, "--claimed", "nan,0,0,0,0,0,1,0"], None, 2, "non-finite entry"),
+        (["schedule", SCT1, "--claimed", "1,0,0,0,0,0,1,inf"], None, 2, "non-finite entry"),
+        (["schedule", SCT1, "--claimed", "NAN_MAT"], None, 2, "non-finite entry"),
+        (["synth", "--gens", "R(inf),H", "--target", "H", "--eps", "0.1"], None, 2, "non-finite angle"),
     ],
     ids=[
         "non-unitary-target", "bad-env-tol", "claim-dimension", "negative-eps", "nan-eps", "entangled-exit",
         "nan-tol", "negative-tol", "inf-tol", "nan-env-tol", "zero-env-tol",
+        "nan-angle", "inf-angle", "overflowing-angle", "nan-literal", "inf-literal", "nan-matrix-file",
+        "inf-angle-generator",
     ],
 )
-def test_error_paths_exit_without_traceback(capsys, monkeypatch, tmp_path, argv, env_tol, expected, fragment):
+def test_error_paths_exit_without_traceback(capsys, monkeypatch, recwarn, tmp_path, argv, env_tol, expected, fragment):
     entangled = tmp_path / "entangled.sched"
     entangled.write_text("REGISTER 2\nPREP a 0\nINT cz_plain 0 a\nINT cz_plain 1 a\n")
+    nan_mat = tmp_path / "nan.mat"
+    nan_mat.write_text("nan 0j\n0j (1+0j)\n")
     if env_tol is not None:
         monkeypatch.setenv("MINQC_TOL", env_tol)
     if expected == 2:  # input errors are caught before any simulation
         monkeypatch.setattr(cli, "run_schedule", _unreachable)
-    argv = [str(entangled) if a == "ENTANGLED" else a for a in argv]
+    placeholders = {"ENTANGLED": str(entangled), "NAN_MAT": str(nan_mat)}
+    argv = [placeholders.get(a, a) for a in argv]
     code, out, err = run_cli(capsys, argv)
     assert code == expected
     if expected == 2:
         assert out == "" and err.startswith(f"minqc {argv[0]}: ") and err.count("\n") == 1
         assert fragment in err
+        assert not recwarn.list  # no numpy warning precedes the error line
     else:
         report = json.loads(out)
         assert report["pass"] is False and report["error"].startswith("ancilla 'a' exits step 1")

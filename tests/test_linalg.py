@@ -4,7 +4,6 @@ import pytest
 from minqc.errors import BadTargets, DimensionMismatch, NonHermitianInput
 from minqc.gates import I2, X, Z, cz_gate, hadamard
 from minqc.linalg import (
-    StateVec,
     apply_gate,
     dist_phase,
     embed_gate,
@@ -126,15 +125,20 @@ def test_phase_aligned_dist_resolves_machine_precision():
     assert phase_aligned_dist(u, np.exp(0.52j) * u) < 1e-14
 
 
+def basis(n, index):
+    psi = np.zeros(2**n, dtype=complex)
+    psi[index] = 1.0
+    return psi
+
+
 def test_apply_x_on_qubit0():
-    out = apply_gate(StateVec.zero(2), X, [0])
-    np.testing.assert_allclose(out.amplitudes, [0, 1, 0, 0], atol=1e-15)
+    out = apply_gate(basis(2, 0), X, [0])
+    np.testing.assert_allclose(out, [0, 1, 0, 0], atol=1e-15)
 
 
 def test_apply_cz_on_11():
-    psi = StateVec.basis(2, 3)
-    out = apply_gate(psi, cz_gate(), [1, 0])
-    np.testing.assert_allclose(out.amplitudes, [0, 0, 0, -1], atol=1e-15)
+    out = apply_gate(basis(2, 3), cz_gate(), [1, 0])
+    np.testing.assert_allclose(out, [0, 0, 0, -1], atol=1e-15)
 
 
 def test_apply_h_on_qubit2_matches_dense_oracle():
@@ -142,13 +146,13 @@ def test_apply_h_on_qubit2_matches_dense_oracle():
     amps = rng.standard_normal(16) + 1j * rng.standard_normal(16)
     amps /= np.linalg.norm(amps)
     h = hadamard()
-    out = apply_gate(StateVec.from_amplitudes(amps), h, [2])
+    out = apply_gate(amps, h, [2])
     dense = np.kron(np.kron(I2, h), np.kron(I2, I2))  # qubits (3,2,1,0)
-    np.testing.assert_allclose(out.amplitudes, dense @ amps, atol=1e-12)
+    np.testing.assert_allclose(out, dense @ amps, atol=1e-12)
 
 
 def test_apply_gate_rejects_bad_targets():
-    psi = StateVec.zero(2)
+    psi = basis(2, 0)
     with pytest.raises(BadTargets):
         apply_gate(psi, X, [2])
     with pytest.raises(BadTargets):
@@ -157,12 +161,18 @@ def test_apply_gate_rejects_bad_targets():
         apply_gate(psi, cz_gate(), [0])
 
 
+def test_apply_gate_rejects_non_power_of_two_state():
+    for shape in ((3,), (6, 2), (0,)):
+        with pytest.raises(DimensionMismatch):
+            apply_gate(np.ones(shape, dtype=complex), X, [0])
+
+
 def test_random_circuit_reconstruction_matches_dense_product():
     rng = np.random.default_rng(31)
     n = 3
     for _ in range(10):
         dense = np.eye(2**n, dtype=complex)
-        gates = []
+        reconstructed = np.eye(2**n, dtype=complex)  # every basis input as one batch
         for _ in range(int(rng.integers(1, 11))):
             if rng.random() < 0.5:
                 g = random_unitary(2, rng)
@@ -170,16 +180,29 @@ def test_random_circuit_reconstruction_matches_dense_product():
             else:
                 g = random_unitary(4, rng)
                 targets = list(rng.choice(n, size=2, replace=False).astype(int))
-            gates.append((g, targets))
             dense = embed_oracle(g, targets, n) @ dense
-        reconstructed = np.empty((2**n, 2**n), dtype=complex)
-        for col in range(2**n):
-            psi = StateVec.basis(n, col)
-            for g, targets in gates:
-                psi = apply_gate(psi, g, targets)
-            assert abs(psi.norm() - 1.0) < 1e-12
-            reconstructed[:, col] = psi.amplitudes
+            reconstructed = apply_gate(reconstructed, g, targets)
+        np.testing.assert_allclose(np.linalg.norm(reconstructed, axis=0), 1.0, atol=1e-12)
         np.testing.assert_allclose(reconstructed, dense, atol=1e-10)
+
+
+def test_batched_apply_equals_column_by_column():
+    # Small-integer entries make every product and sum exact, so the batch must
+    # equal the columns bit for bit whatever order BLAS sums in; with general
+    # entries, BLAS may round differently at another batch width.
+    rng = np.random.default_rng(41)
+    for n, m, batch in ((1, 1, 3), (2, 1, 4), (3, 2, 5), (4, 3, 8), (5, 2, 2)):
+        g = rng.integers(-3, 4, (2**m, 2**m)) + 1j * rng.integers(-3, 4, (2**m, 2**m))
+        targets = list(rng.choice(n, size=m, replace=False).astype(int))
+        states = rng.integers(-3, 4, (2**n, batch)) + 1j * rng.integers(-3, 4, (2**n, batch))
+        columns = np.stack([apply_gate(states[:, b], g, targets) for b in range(batch)], axis=1)
+        assert np.array_equal(apply_gate(states, g, targets), columns)
+        # further trailing axes are batch axes too
+        cube = states.reshape(2**n, 1, batch)
+        assert np.array_equal(apply_gate(cube, g, targets), columns.reshape(cube.shape))
+        u = random_unitary(2**m, rng)
+        unitary_columns = np.stack([apply_gate(states[:, b], u, targets) for b in range(batch)], axis=1)
+        np.testing.assert_allclose(apply_gate(states, u, targets), unitary_columns, rtol=0, atol=1e-14)
 
 
 def test_embed_gate_matches_oracle():
@@ -187,3 +210,10 @@ def test_embed_gate_matches_oracle():
     g = random_unitary(4, rng)
     np.testing.assert_allclose(embed_gate(g, [2, 0], 3), embed_oracle(g, [2, 0], 3), atol=1e-13)
     np.testing.assert_allclose(embed_gate(g, [0, 1], 3), embed_oracle(g, [0, 1], 3), atol=1e-13)
+
+
+def test_embed_gate_is_exact():
+    rng = np.random.default_rng(43)
+    for targets, n in (([0], 1), ([1], 3), ([2, 0], 3), ([0, 1], 3), ([3, 0, 2], 4)):
+        g = random_unitary(2 ** len(targets), rng)
+        np.testing.assert_allclose(embed_gate(g, targets, n), embed_oracle(g, targets, n), atol=0)

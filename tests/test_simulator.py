@@ -163,6 +163,7 @@ def test_parser_reports_line_numbers():
         ("PREP a 0\nPREP a 1\n", 2, "prepared twice"),
         ("REGISTER 1\nREGISTER 2\n", 2, "duplicate REGISTER"),
         ("PREP a 0\nINT k x a\n", 2, "not an integer"),
+        ("REGISTER ²\n", 1, "REGISTER"),
         ("", 0, "empty"),
     ]
     for text, line_no, fragment in cases:

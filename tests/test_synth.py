@@ -205,6 +205,20 @@ def test_level_cache_is_bounded():
     assert info.currsize <= info.maxsize
 
 
+def test_level_cap_exhausts_the_search_before_building_a_larger_level(monkeypatch):
+    monkeypatch.setattr(synth, "_MAX_LEVEL_PRODUCTS", 8)
+    synth._cached_levels.cache_clear()
+    try:
+        rng = np.random.default_rng(5)
+        g0, g1, target = (random_unitary(2, rng) for _ in range(3))
+        # a generic pair doubles each level, so level 4 would hold 16 products
+        with pytest.raises(SearchExhausted, match=r"length <= 6 .* length 7: level 4 could hold 16 products"):
+            synthesize(g0, g1, target, 1e-9, max_len=44)
+        assert [len(level.bits) for level in synth._levels_for(g0, g1).levels] == [1, 2, 4, 8]
+    finally:
+        synth._cached_levels.cache_clear()
+
+
 def test_synthesize_recovers_reachable_targets():
     g0, g1 = hadamard(), t_gate() @ hadamard() @ t_gate()
     rng = np.random.default_rng(46)
