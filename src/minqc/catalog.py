@@ -105,12 +105,6 @@ def load_matrix_file(path: str) -> np.ndarray:
     raise ValueError(f"{path}: expected 4 or 16 complex entries, got {len(entries)}")
 
 
-def save_matrix_file(path: str, matrix: np.ndarray) -> None:
-    with open(path, "w") as fh:
-        for row in np.asarray(matrix, dtype=complex):
-            fh.write(" ".join(repr(complex(x)) for x in row) + "\n")
-
-
 def parse_gate_spec(spec: str, rng: np.random.Generator | None = None) -> np.ndarray:
     """Resolve a gate given as expression, matrix literal, file path, or 'random'."""
     if spec == "random":

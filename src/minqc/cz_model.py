@@ -84,15 +84,6 @@ def action_residual(interaction: CZInteraction, bit: int) -> float:
     )
 
 
-def single_qubit_action(interaction: CZInteraction, bit: int) -> np.ndarray:
-    """Gate applied to the register when the ancilla is prepared in |bit>."""
-    if bit not in (0, 1):
-        raise ValueError("preparation bit must be 0 or 1")
-    if action_residual(interaction, bit) >= ACTION_ATOL:
-        raise FactorizationFailure("single-qubit action identity failed")
-    return interaction.gate(bit)
-
-
 def sandwich(interaction: CZInteraction) -> tuple[np.ndarray, np.ndarray, float]:
     """The four-interaction sandwich K_k K_j (gate0^dag (x) gate0^dag (x) I)
     K_k K_j on (j, k, ancilla).

@@ -91,15 +91,6 @@ def action_residual(interaction: SwapInteraction, bit: int) -> float:
     return phase_aligned_dist(out, expected)
 
 
-def single_qubit_action(interaction: SwapInteraction, bit: int) -> np.ndarray:
-    """Gate applied by two interactions through an ancilla prepared in |bit>."""
-    if bit not in (0, 1):
-        raise ValueError("preparation bit must be 0 or 1")
-    if action_residual(interaction, bit) >= ACTION_ATOL:
-        raise FactorizationFailure("double-interaction action identity failed")
-    return interaction.gate(bit)
-
-
 def sandwich(interaction: SwapInteraction) -> tuple[np.ndarray, float]:
     """The three-interaction sequence L_j L_k L_j through a |0>-prepared ancilla.
 

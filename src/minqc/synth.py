@@ -217,6 +217,8 @@ class _Level(NamedTuple):
 # exhaust memory: building level 18 of a Haar-random pair peaks at 247 MB RSS
 # (x86_64, numpy 2.4).  No level that could exceed this size is built.
 _MAX_LEVEL_PRODUCTS = 1 << 18
+# Dedup keys are quaternion entries (|q| <= 1) over the tolerance: at this floor they fit in int64.
+_MIN_DEDUP_ATOL = 1e-18
 
 
 class _WordLevels:
@@ -322,7 +324,7 @@ def synthesize(
     if d < epsilon:
         return GateWord((), d)
 
-    levels = _levels_for(g0, g1, dedup_atol=min(1e-10, epsilon / 10))
+    levels = _levels_for(g0, g1, dedup_atol=max(min(1e-10, epsilon / 10), _MIN_DEDUP_ATOL))
     min_overlap = 1 - epsilon**2 / 4 - _OVERLAP_MARGIN
     for n in range(1, max_len + 1):
         try:

@@ -185,12 +185,15 @@ def _unreachable(*args, **kwargs):
         (["schedule", SCT1, "--claimed", "1,0,0,0,0,0,1,inf"], None, 2, "non-finite entry"),
         (["schedule", SCT1, "--claimed", "NAN_MAT"], None, 2, "non-finite entry"),
         (["synth", "--gens", "R(inf),H", "--target", "H", "--eps", "0.1"], None, 2, "non-finite angle"),
+        (["schedule", SCT1, "--claimed", "1,0,0,0,0,0,0,0"], None, 2, "not unitary"),
+        (["schedule", SCT1, "--claimed", "1e300,0,0,0,0,0,1,0"], None, 2, "not unitary"),
+        (["synth", "--gens", "T,HT", "--target", "1e300,0,0,0,0,0,1,0", "--eps", "0.1"], None, 2, "not unitary"),
     ],
     ids=[
         "non-unitary-target", "bad-env-tol", "claim-dimension", "negative-eps", "nan-eps", "entangled-exit",
         "nan-tol", "negative-tol", "inf-tol", "nan-env-tol", "zero-env-tol",
         "nan-angle", "inf-angle", "overflowing-angle", "nan-literal", "inf-literal", "nan-matrix-file",
-        "inf-angle-generator",
+        "inf-angle-generator", "non-unitary-claim", "overflowing-claim", "overflowing-target",
     ],
 )
 def test_error_paths_exit_without_traceback(capsys, monkeypatch, recwarn, tmp_path, argv, env_tol, expected, fragment):

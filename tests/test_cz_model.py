@@ -10,7 +10,6 @@ from minqc.cz_model import (
     entangling_gate,
     expand_gate0_inverse,
     mediated_cz_residuals,
-    single_qubit_action,
     single_qubit_schedule,
     two_qubit_schedule,
 )
@@ -74,7 +73,7 @@ def test_single_qubit_action_on_random_states():
         psi = rng.standard_normal(2) + 1j * rng.standard_normal(2)
         psi /= np.linalg.norm(psi)
         for bit in (0, 1):
-            gate = single_qubit_action(k, bit)
+            gate = k.gate(bit)
             anc = np.zeros(2, dtype=complex)
             anc[bit] = 1.0
             out = k.matrix @ np.kron(psi, anc)
@@ -84,9 +83,10 @@ def test_single_qubit_action_on_random_states():
 
 def test_single_qubit_action_fixed_instances():
     k = cz_t_instance()
-    np.testing.assert_allclose(single_qubit_action(k, 0), t_gate(), atol=1e-12)
-    np.testing.assert_allclose(single_qubit_action(k, 1), hadamard() @ t_gate(), atol=1e-12)
-    np.testing.assert_allclose(single_qubit_action(cz_interaction(I2, I2), 0), I2, atol=0)
+    np.testing.assert_allclose(k.gate(0), t_gate(), atol=1e-12)
+    np.testing.assert_allclose(k.gate(1), hadamard() @ t_gate(), atol=1e-12)
+    np.testing.assert_allclose(cz_interaction(I2, I2).gate(0), I2, atol=0)
+    assert max(cz_model.action_residual(k, bit) for bit in (0, 1)) < cz_model.ACTION_ATOL
 
 
 def test_entangling_gate_identity_dressing_is_cz():

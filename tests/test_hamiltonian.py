@@ -1,5 +1,10 @@
-import numpy as np
+import dataclasses
 
+import numpy as np
+import pytest
+
+from minqc import hamiltonian
+from minqc.errors import FactorizationFailure
 from minqc.gates import I2, X, Y, Z, hadamard, phase_gate, t_gate
 from minqc.hamiltonian import (
     ancilla_rotation,
@@ -94,3 +99,22 @@ def test_ancilla_rotation_is_fixed_per_angle():
     r = phase_gate(theta / 2)
     np.testing.assert_allclose(ancilla_rotation(theta), r @ hadamard() @ r, atol=0)
     np.testing.assert_array_equal(ancilla_rotation(theta), ancilla_rotation(theta))
+
+
+def test_residuals_detect_a_tampered_instance(monkeypatch):
+    theta = 1.1
+    inst = derived_swap_instance(theta)
+    assert max(hamiltonian.selected_gate_residuals(inst, theta)) < hamiltonian.DERIVED_ATOL
+    swapped = dataclasses.replace(inst, gate0=inst.gate1, gate1=inst.gate0)
+    gate0, gate1 = hamiltonian.selected_gate_residuals(swapped, theta)
+    assert gate0 > hamiltonian.DERIVED_ATOL and gate1 > hamiltonian.DERIVED_ATOL
+
+    assert hamiltonian.evolution_residual(theta) < hamiltonian.EVOLUTION_ATOL
+    monkeypatch.setattr(hamiltonian, "product_form", lambda th: product_form(th + 0.1))
+    assert hamiltonian.evolution_residual(theta) > hamiltonian.EVOLUTION_ATOL
+    with pytest.raises(FactorizationFailure):
+        evolve(theta)
+
+    assert hamiltonian.spectrum_residual(theta) < hamiltonian.SPECTRUM_ATOL
+    monkeypatch.setattr(hamiltonian, "xxz_hamiltonian", lambda th: xxz_hamiltonian(th + 0.1))
+    assert hamiltonian.spectrum_residual(theta) > hamiltonian.SPECTRUM_ATOL

@@ -59,6 +59,11 @@ def test_tensor_matches_index_oracle():
     rng = np.random.default_rng(3)
     a, b = random_unitary(2, rng), random_unitary(4, rng)
     np.testing.assert_allclose(tensor(a, b), kron_oracle(a, b), atol=1e-15)
+    # kron_oracle multiplies Python complexes, which may round differently in
+    # the last bit; np.kron forms each entry as the same single numpy product
+    for _ in range(50):
+        a, b = (random_unitary(int(d), rng) for d in rng.choice([2, 4], size=2))
+        assert np.array_equal(tensor(a, b), np.kron(a, b))
 
 
 def test_unitarity_closure():

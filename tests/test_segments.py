@@ -17,7 +17,7 @@ from minqc.errors import AncillaEntangledAtExit
 from minqc.gates import swap_gate
 from minqc.linalg import dist_phase, embed_gate, herm_exp
 from minqc import simulator
-from minqc.simulator import WARN_ATOL, Schedule, Step, run, schedule_from_text
+from minqc.simulator import WARN_ATOL, Schedule, Step, run, schedule_from_text, schedule_to_text
 
 INTERACTIONS = standard_interactions()
 
@@ -124,6 +124,18 @@ def test_segment_run_matches_dense_reference(drawn):
     assert report.purity_deficits.keys() == deficits.keys()
     for name, deficit in deficits.items():
         assert abs(report.purity_deficits[name] - deficit) <= 1e-12
+
+
+@settings(max_examples=200, deadline=None)
+@given(schedules())
+def test_schedule_text_round_trips(drawn):
+    schedule, _ = drawn
+    text = schedule_to_text(schedule)
+    parsed = schedule_from_text(text, INTERACTIONS)
+    assert parsed.register_size == schedule.register_size
+    assert parsed.preps == schedule.preps
+    assert parsed.steps == schedule.steps
+    assert schedule_to_text(parsed) == text
 
 
 def test_entangled_exit_names_segment_qubits_and_sub_register_input():

@@ -22,7 +22,6 @@ from minqc.simulator import run
 from minqc.swap_model import (
     cnot_power_residual,
     entangling_gate,
-    single_qubit_action,
     single_qubit_schedule,
     swap_interaction,
     two_qubit_schedule,
@@ -91,7 +90,7 @@ def test_double_interaction_selected_gate_identity():
         l = swap_interaction(u, th, tr, ta)
         double = l.matrix @ l.matrix
         for bit in (0, 1):
-            gate = single_qubit_action(l, bit)
+            gate = l.gate(bit)
             anc = np.zeros(2, dtype=complex)
             anc[bit] = 1.0
             out = np.stack([double @ np.kron(col, anc) for col in np.eye(2, dtype=complex)], axis=1)
@@ -117,10 +116,9 @@ def test_double_interaction_is_exact_without_local_offsets():
 
 def test_sct_selected_gates_via_action():
     l = sct_instance()
-    np.testing.assert_allclose(single_qubit_action(l, 0), hadamard(), atol=1e-15)
-    np.testing.assert_allclose(
-        single_qubit_action(l, 1), t_gate() @ hadamard() @ t_gate(), atol=1e-15
-    )
+    np.testing.assert_allclose(l.gate(0), hadamard(), atol=1e-15)
+    np.testing.assert_allclose(l.gate(1), t_gate() @ hadamard() @ t_gate(), atol=1e-15)
+    assert max(swap_model.action_residual(l, bit) for bit in (0, 1)) < swap_model.ACTION_ATOL
 
 
 def test_entangling_gate_sct_closed_form():

@@ -195,6 +195,14 @@ def test_synthesize_rejects_bad_epsilon(epsilon):
         synthesize(Z, t_gate(), X, epsilon)
 
 
+@pytest.mark.parametrize("epsilon", [1e-17, 1e-100, 1e-300, 5e-324])
+def test_synthesize_at_tiny_epsilon_keeps_the_levels_distinct(epsilon):
+    # the dedup keys are quaternions over the dedup tolerance, cast to int64
+    g0, g1 = hadamard(), t_gate() @ hadamard() @ t_gate()
+    word = synthesize(g0, g1, word_product((1, 0, 1), g0, g1), epsilon, 12)
+    assert word.bits == (1, 0, 1) and word.distance == 0.0
+
+
 def test_level_cache_is_bounded():
     # each epsilon below 1e-9 sets its own dedup tolerance, hence its own levels
     g0, g1 = t_gate(), hadamard() @ t_gate()
