@@ -334,6 +334,10 @@ _SUITES = {
 }
 
 
+def _header(command: str) -> dict:
+    return {"schema_version": SCHEMA_VERSION, "command": command, "version": __version__}
+
+
 def _emit(report: dict, start: float) -> None:
     report["wall_time_s"] = round(time.perf_counter() - start, 6)
     print(json.dumps(report, indent=2))
@@ -351,9 +355,7 @@ def cmd_verify(args) -> int:
             checks.extend(_SUITES[name](args.seed, args.trials))
     passed = sum(1 for c in checks if c["pass"])
     report = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "verify",
-        "version": __version__,
+        **_header("verify"),
         "suite": args.suite,
         "seed": args.seed,
         "trials": args.trials,
@@ -379,9 +381,7 @@ def cmd_synth(args) -> int:
         raise ValueError("synthesis operates on 2x2 gates")
     diagnostic = synth.universality_diagnostic(g0, g1)
     report = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "synth",
-        "version": __version__,
+        **_header("synth"),
         "generators": [parts[0].strip(), parts[1].strip()],
         "target": args.target,
         "epsilon": args.eps,
@@ -431,9 +431,7 @@ def cmd_schedule(args) -> int:
         )
     require_unitary(claimed, "claimed gate")
     report = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "schedule",
-        "version": __version__,
+        **_header("schedule"),
         "file": args.file,
         "claimed": args.claimed,
         "register_size": schedule.register_size,
@@ -479,7 +477,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run a model's invariant suite")
     p_verify.add_argument(
         "suite",
-        choices=["k", "l", "hamiltonian", "appendix-a", "endnote-a", "all"],
+        choices=[*_SUITE_IDS, "all"],
         help="which suite to run (k/l are the two interaction models)",
     )
     p_verify.add_argument("--seed", type=int, default=0)

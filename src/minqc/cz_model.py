@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import FactorizationFailure, SearchExhausted
 from .gates import I2, X, Z, controlled, cz_gate, hadamard
-from .linalg import dagger, dist_phase, embed_gate, require_unitary, tensor
+from .linalg import dist_phase, embed_gate, exit_residual, require_unitary, tensor
 from .simulator import Schedule, Step
 from .synth import (
     NOT_UNIVERSAL,
@@ -73,15 +73,8 @@ def factorization_residual(interaction: CZInteraction) -> float:
 
 def action_residual(interaction: CZInteraction, bit: int) -> float:
     """Largest |K (psi (x) |bit>) - gate_bit psi (x) H|bit>| over basis states psi."""
-    anc = np.zeros(2, dtype=complex)
-    anc[bit] = 1.0
-    h_anc = hadamard() @ anc
-    return max(
-        float(np.linalg.norm(
-            interaction.matrix @ np.kron(col, anc) - np.kron(interaction.gate(bit) @ col, h_anc)
-        ))
-        for col in np.eye(2, dtype=complex)
-    )
+    anc = np.eye(2, dtype=complex)[bit]
+    return exit_residual(interaction.matrix, interaction.gate(bit), anc, hadamard() @ anc)
 
 
 def sandwich(interaction: CZInteraction) -> tuple[np.ndarray, np.ndarray, float]:
@@ -94,7 +87,7 @@ def sandwich(interaction: CZInteraction) -> tuple[np.ndarray, np.ndarray, float]
     """
     k_on_j = embed_gate(interaction.matrix, [2, 0], 3)
     k_on_k = embed_gate(interaction.matrix, [1, 0], 3)
-    inverse_pair = embed_gate(tensor(dagger(interaction.gate0), dagger(interaction.gate0)), [2, 1], 3)
+    inverse_pair = embed_gate(tensor(interaction.gate0.conj().T, interaction.gate0.conj().T), [2, 1], 3)
     sequence = k_on_k @ k_on_j @ inverse_pair @ k_on_k @ k_on_j
     induced = tensor(interaction.u, interaction.u) @ cz_gate() @ tensor(interaction.v, interaction.v)
     return sequence, induced, float(np.linalg.norm(sequence - tensor(induced, I2)))
@@ -120,7 +113,7 @@ def expand_gate0_inverse(
     Exact words (distance below 1e-12) are preferred over shorter approximate
     ones whenever one exists within the depth bound.
     """
-    target = dagger(interaction.gate0)
+    target = interaction.gate0.conj().T
     identity_dist = dist_phase(I2, target)
     if identity_dist < EXACT_WORD_ATOL and identity_dist < epsilon:
         return GateWord((), identity_dist)

@@ -38,12 +38,12 @@ def require_unitary(m: np.ndarray, name: str = "matrix", atol: float = UNITARY_A
     return m
 
 
-def dagger(m: np.ndarray) -> np.ndarray:
-    return np.asarray(m).conj().T
-
-
 def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product; ``a`` acts on the higher-index qubit block."""
+    """Kronecker product of two square matrices or of two vectors; ``a`` acts
+    on the higher-index qubit block."""
+    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
+    if a.ndim == b.ndim == 1:
+        return (a[:, None] * b[None, :]).reshape(-1)
     a, b = as_matrix(a), as_matrix(b)
     dim = a.shape[0] * b.shape[0]
     return (a[:, None, :, None] * b[None, :, None, :]).reshape(dim, dim)
@@ -58,8 +58,15 @@ def herm_exp(h: np.ndarray, t: float) -> np.ndarray:
     return (v * np.exp(-1j * w * t)) @ v.conj().T
 
 
-def phase_aligned_dist(a: np.ndarray, b: np.ndarray) -> float:
-    """min over alpha of ||a - e^{i alpha} b||_F for equal-shape arrays."""
+def dist_phase(a: np.ndarray, b: np.ndarray) -> float:
+    """Global-phase-insensitive distance of two equal-shape arrays:
+    min over alpha of ||a - e^{i alpha} b||_F.
+
+    Aligns b to the optimal phase arg(<b, a>) and takes the Frobenius norm of
+    the difference.  Unlike the equal closed form sqrt(|a|^2 + |b|^2 - 2|<b, a>|),
+    this resolves distances down to machine precision (cancellation under the
+    square root floors the closed form near 1e-8).
+    """
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
     if a.shape != b.shape:
@@ -70,17 +77,14 @@ def phase_aligned_dist(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.linalg.norm(a - b))
 
 
-def dist_phase(a: np.ndarray, b: np.ndarray) -> float:
-    """Global-phase-insensitive distance of unitaries:
-    min over alpha of ||a - e^{i alpha} b||_F.
-
-    Computed by aligning b to the optimal phase arg(tr(a^dag b)) and taking the
-    Frobenius norm of the difference.  Mathematically identical to the closed
-    form sqrt(2d - 2|tr(a^dag b)|), but resolves distances all the way down to
-    machine precision, which the closed form cannot (cancellation under the
-    square root floors it near 1e-8).
-    """
-    return phase_aligned_dist(as_matrix(a), as_matrix(b))
+def exit_residual(op: np.ndarray, gate: np.ndarray, anc_in: np.ndarray, anc_out: np.ndarray) -> float:
+    """Largest ||op (e (x) anc_in) - (gate e) (x) anc_out|| over basis states e: zero
+    exactly when ``op`` applies ``gate`` to every register input, taking its
+    ancilla (the low slot) from ``anc_in`` to ``anc_out``."""
+    return max(
+        float(np.linalg.norm(op @ tensor(e, anc_in) - tensor(gate @ e, anc_out)))
+        for e in np.eye(len(gate), dtype=complex)
+    )
 
 
 def apply_gate(state: np.ndarray, g: np.ndarray, targets: list[int]) -> np.ndarray:

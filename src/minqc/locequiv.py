@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import require_unitary
+from .linalg import require_unitary, tensor
 
 INVARIANT_ATOL = 1e-8
 
@@ -65,7 +65,7 @@ def _creates_entanglement(u: np.ndarray, trials: int = 64, seed: int = 0) -> boo
     for _ in range(trials):
         a = rng.standard_normal(2) + 1j * rng.standard_normal(2)
         b = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-        psi = np.kron(a / np.linalg.norm(a), b / np.linalg.norm(b))
+        psi = tensor(a / np.linalg.norm(a), b / np.linalg.norm(b))
         best = max(best, _concurrence(u @ psi))
     return best > 1e-6
 
@@ -78,9 +78,8 @@ def is_entangling(u: np.ndarray, tol: float = INVARIANT_ATOL) -> bool:
     cases are settled by the explicit product-state search.
     """
     inv = invariants(u)
-    for cls in (_IDENTITY_CLASS, _SWAP_CLASS):
-        ref = LocalInvariants(cls[0], cls[1])
-        if inv.distance(ref) < tol:
+    for g1, g2 in (_IDENTITY_CLASS, _SWAP_CLASS):
+        if inv.distance(LocalInvariants(g1, g2)) < tol:
             return _creates_entanglement(u)
     return True
 

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import AncillaEntangledAtExit, ScheduleInvalid, ScheduleParseError
-from .linalg import apply_gate, dist_phase
+from .linalg import apply_gate, dist_phase, tensor
 
 # Purity-deficit bands: below DECOUPLE_ATOL is clean product form, between the
 # two the run proceeds with a warning, above WARN_ATOL the ancilla is declared
@@ -67,7 +67,9 @@ class Schedule:
     steps: list[Step]
     interactions: dict[str, np.ndarray]
 
-    def validate(self) -> None:
+    def validate(self) -> dict[str, int]:
+        """Raise :class:`ScheduleInvalid` on a malformed schedule; return the
+        index of each ancilla's last step."""
         if self.register_size < 1:
             raise ScheduleInvalid("register must hold at least one qubit")
         if self.register_size > MAX_REGISTER_QUBITS:
@@ -98,6 +100,7 @@ class Schedule:
                 raise ScheduleInvalid(f"ancilla {ancilla!r} prepared in non-bit {bit!r}")
             if ancilla not in last_use:
                 raise ScheduleInvalid(f"ancilla {ancilla!r} prepared but never used")
+        return last_use
 
     def interaction_count(self) -> int:
         return len(self.steps)
@@ -138,27 +141,43 @@ def run(schedule: Schedule, prep_overrides: dict[str, np.ndarray] | None = None)
 
     ``prep_overrides`` replaces selected ancillas' computational-basis
     preparations with arbitrary pure states (used to probe preparation
-    freedom); overridden ancillas keep their schedule entry otherwise.
+    freedom); overridden ancillas keep their schedule entry otherwise.  Each
+    override must name a prepared ancilla and be a 2-vector of positive,
+    finite norm, else :class:`ScheduleInvalid` is raised.
     """
-    schedule.validate()
-    overrides = prep_overrides or {}
+    last_use = schedule.validate()
+    preps = _prep_states(schedule, prep_overrides or {})
     # the segments fill in the ancilla fields; the operator is composed last
     report = RunReport(np.empty((0, 0), dtype=complex), {}, {})
     operators = [
-        (_run_segment(schedule, overrides, report, start, stop, qubits), qubits)
-        for start, stop, qubits in _segments(schedule.steps)
+        (_run_segment(schedule, preps, last_use, report, start, stop, qubits), qubits)
+        for start, stop, qubits in _segments(schedule.steps, last_use)
     ]
     report.register_unitary = _compose(operators, schedule.register_size)
     return report
 
 
-def _segments(steps: list[Step]) -> list[tuple[int, int, tuple[int, ...]]]:
+def _prep_states(schedule: Schedule, overrides: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """Each ancilla's normalized preparation: its basis state unless overridden."""
+    preps = {a: np.eye(2, dtype=complex)[bit] for a, bit in schedule.preps.items()}
+    for ancilla, prep in overrides.items():
+        prep = np.asarray(prep, dtype=complex).reshape(-1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            norm = np.linalg.norm(prep)
+        if ancilla not in preps or prep.shape != (2,) or not 0 < norm < np.inf:
+            raise ScheduleInvalid(
+                f"prep override for {ancilla!r}: needs a prepared ancilla and a 2-vector of positive finite norm"
+            )
+        preps[ancilla] = prep / norm
+    return preps
+
+
+def _segments(steps: list[Step], last_use: dict[str, int]) -> list[tuple[int, int, tuple[int, ...]]]:
     """Maximal runs of overlapping ancilla lifetimes, as (start, stop, register qubits).
 
     Each run ends at the first step that closes every lifetime opened in it,
     so the runs tile the steps and no ancilla is live across a boundary.
     """
-    last_use = {step.ancilla: i for i, step in enumerate(steps)}
     segments = []
     start = end = 0
     for i, step in enumerate(steps):
@@ -172,7 +191,8 @@ def _segments(steps: list[Step]) -> list[tuple[int, int, tuple[int, ...]]]:
 
 def _run_segment(
     schedule: Schedule,
-    overrides: dict[str, np.ndarray],
+    preps: dict[str, np.ndarray],
+    last_use: dict[str, int],
     report: RunReport,
     start: int,
     stop: int,
@@ -185,40 +205,31 @@ def _run_segment(
     and returns the 2^k x 2^k operator they induce.  The exit states,
     deficits and warnings of the segment's ancillas go into ``report``.
     """
+    steps = schedule.steps[start:stop]
     local = {q: j for j, q in enumerate(qubits)}
-    last_use = {schedule.steps[i].ancilla: i for i in range(start, stop)}
     sub_dim = 2 ** len(qubits)
     operator = np.empty((sub_dim, sub_dim), dtype=complex)
     exit_states = report.ancilla_exit_states
     deficits = report.purity_deficits
-    deficits.update({a: 0.0 for a in schedule.preps if a in last_use})
+    deficits.update({a: 0.0 for a in schedule.preps if start <= last_use[a] < stop})
 
     for col in range(sub_dim):
         state = np.zeros(sub_dim, dtype=complex)
         state[col] = 1.0
-        positions: dict[str, int] = {}
+        live: list[str] = []  # attached ancillas; live[p] sits on qubit len(qubits) + p
 
-        for i in range(start, stop):
-            step = schedule.steps[i]
-            if step.ancilla not in positions:
-                prep = overrides.get(step.ancilla)
-                if prep is None:
-                    prep = np.eye(2, dtype=complex)[schedule.preps[step.ancilla]]
-                else:
-                    prep = np.asarray(prep, dtype=complex).reshape(2)
-                    prep = prep / np.linalg.norm(prep)
-                positions[step.ancilla] = len(qubits) + len(positions)
-                state = np.kron(prep, state)
+        for i, step in enumerate(steps, start):
+            if step.ancilla not in live:
+                live.append(step.ancilla)
+                state = tensor(preps[step.ancilla], state)
+            position = len(qubits) + live.index(step.ancilla)
             gate = schedule.interactions[step.interaction]
-            state = apply_gate(state, gate, [local[step.register_qubit], positions[step.ancilla]])
+            state = apply_gate(state, gate, [local[step.register_qubit], position])
 
             if last_use[step.ancilla] == i:
-                detached_pos = positions.pop(step.ancilla)
+                live.remove(step.ancilla)
                 state, chi, own_deficit, ref_deficit = _detach(
-                    state, detached_pos, exit_states.get(step.ancilla)
-                )
-                positions.update(
-                    {a: p - 1 for a, p in positions.items() if p > detached_pos}
+                    state, position, exit_states.get(step.ancilla)
                 )
                 if own_deficit >= WARN_ATOL:
                     raise AncillaEntangledAtExit(
@@ -358,9 +369,8 @@ def schedule_from_text(text: str, interactions: dict[str, np.ndarray]) -> Schedu
             steps.append(Step(name, qubit, ancilla))
         else:
             raise ScheduleParseError(line_no, f"unknown directive {kind!r}")
-    if not steps:
-        if register_size is None:
-            raise ScheduleParseError(0, "empty schedule")
+    if not steps and register_size is None:
+        raise ScheduleParseError(0, "empty schedule")
     if register_size is None:
         register_size = max(s.register_qubit for s in steps) + 1
     schedule = Schedule(register_size, preps, steps, dict(interactions))

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import FactorizationFailure
 from .gates import I2, controlled, phase_gate, swap_controlled_phase, swap_gate, X
-from .linalg import embed_gate, phase_aligned_dist, require_unitary, tensor, dist_phase
+from .linalg import dist_phase, embed_gate, exit_residual, require_unitary, tensor
 from .simulator import Schedule, Step
 
 # Identity tolerances: the constructors raise at them, ``minqc verify`` reports against them.
@@ -80,15 +80,12 @@ def action_residual(interaction: SwapInteraction, bit: int) -> float:
     One global phase per preparation branch is allowed (it is exactly zero
     when both local rotation offsets vanish).
     """
-    anc = np.zeros(2, dtype=complex)
-    anc[bit] = 1.0
-    double = interaction.matrix @ interaction.matrix
     basis = np.eye(2, dtype=complex)
-    out = np.stack([double @ np.kron(col, anc) for col in basis], axis=1)
-    expected = np.stack(
-        [np.kron(interaction.gate(bit) @ col, interaction.u @ anc) for col in basis], axis=1
-    )
-    return phase_aligned_dist(out, expected)
+    anc = basis[bit]
+    double = interaction.matrix @ interaction.matrix
+    out = np.stack([double @ tensor(e, anc) for e in basis], axis=1)
+    expected = np.stack([tensor(interaction.gate(bit) @ e, interaction.u @ anc) for e in basis], axis=1)
+    return dist_phase(out, expected)
 
 
 def sandwich(interaction: SwapInteraction) -> tuple[np.ndarray, float]:
@@ -108,14 +105,8 @@ def sandwich(interaction: SwapInteraction) -> tuple[np.ndarray, float]:
         @ swap_controlled_phase(interaction.theta)
         @ tensor(dressed_left @ phase_gate(interaction.theta_r), phase_gate(interaction.theta_r))
     )
-    anc_in = np.zeros(2, dtype=complex)
-    anc_in[0] = 1.0
-    anc_out = interaction.u @ anc_in
-    residual = max(
-        float(np.linalg.norm(sequence @ np.kron(col, anc_in) - np.kron(closed @ col, anc_out)))
-        for col in np.eye(4, dtype=complex)
-    )
-    return closed, residual
+    anc_in = np.eye(2, dtype=complex)[0]
+    return closed, exit_residual(sequence, closed, anc_in, interaction.u @ anc_in)
 
 
 def entangling_gate(interaction: SwapInteraction) -> np.ndarray:
@@ -159,10 +150,6 @@ def two_qubit_schedule(
     return Schedule(
         register_size=2,
         preps={"a0": 0},
-        steps=[
-            Step(interaction_name, 1, "a0"),
-            Step(interaction_name, 0, "a0"),
-            Step(interaction_name, 1, "a0"),
-        ],
+        steps=[Step(interaction_name, qubit, "a0") for qubit in (1, 0, 1)],
         interactions={interaction_name: interaction.matrix},
     )

@@ -169,7 +169,8 @@ def universality_diagnostic(g0: np.ndarray, g1: np.ndarray) -> UniversalityRepor
     # Fallback witness scan over short words (includes the generators themselves).
     witnesses: list[AxisAngle] = []
     saw_boundary = "boundary" in kinds
-    for _, product in _enumerate_words((g0, g1), _WITNESS_DEPTH):
+    levels = _levels_for(g0, g1)
+    for product in np.concatenate([levels.level(m).products for m in range(1, _WITNESS_DEPTH + 1)]):
         aa = axis_angle(product)
         if aa.degenerate:
             continue
@@ -228,6 +229,10 @@ class _WordLevels:
     the lexicographically first word producing it.  Duplicates merge only
     when their projective quaternions agree within ``dedup_atol``, so the
     lex-minimal candidate at any search level is preserved.
+
+    ``closed_at`` is the first level whose dedup keys all occur at shorter
+    levels.  Each level is the generators times the one before, so from then
+    on every product is that of a word shorter than ``closed_at``.
     """
 
     def __init__(self, g0: np.ndarray, g1: np.ndarray, dedup_atol: float = 1e-10):
@@ -235,6 +240,11 @@ class _WordLevels:
         self.dedup_atol = dedup_atol
         identity = np.eye(2, dtype=complex)[None]
         self.levels = [_Level([()], identity, _quaternions(identity))]
+        self.seen_keys = self._keys(self.levels[0].quats)  # distinct, over all levels built
+        self.closed_at: float = math.inf
+
+    def _keys(self, quats: np.ndarray) -> np.ndarray:
+        return np.round(quats / self.dedup_atol).astype(np.int64)
 
     def level(self, m: int) -> _Level:
         """Level m, built on demand; raises :class:`SearchExhausted` rather
@@ -249,9 +259,13 @@ class _WordLevels:
             # row 2i + k is gens[k] @ last.products[i]: parents in order, letter 0 first
             products = (self.gens[None] @ last.products[:, None]).reshape(-1, 2, 2)
             quats = _quaternions(products)
-            keys = np.round(quats / self.dedup_atol).astype(np.int64)
-            _, first = np.unique(keys, axis=0, return_index=True)
-            keep = np.sort(first)
+            # first occurrences within this level, and the union with the shorter levels' keys
+            keys = self._keys(quats)
+            seen, first = np.unique(np.concatenate([keys, self.seen_keys]), axis=0, return_index=True)
+            keep = np.sort(first[first < len(keys)])
+            if len(seen) == len(self.seen_keys):
+                self.closed_at = min(self.closed_at, len(self.levels))
+            self.seen_keys = seen
             bits = [last.bits[i // 2] + (int(i % 2),) for i in keep]
             self.levels.append(_Level(bits, products[keep], quats[keep]))
         return self.levels[m]
@@ -270,14 +284,6 @@ def _cached_levels(g0: bytes, g1: bytes, dedup_atol: float) -> _WordLevels:
 
 def _levels_for(g0: np.ndarray, g1: np.ndarray, dedup_atol: float = 1e-10) -> _WordLevels:
     return _cached_levels(g0.tobytes(), g1.tobytes(), float(dedup_atol))
-
-
-def _enumerate_words(gens: tuple[np.ndarray, np.ndarray], depth: int):
-    """All deduplicated words of length 1..depth as (bits, product) pairs."""
-    levels = _levels_for(gens[0], gens[1])
-    for m in range(1, depth + 1):
-        level = levels.level(m)
-        yield from zip(level.bits, level.products)
 
 
 # Slack on the overlap prefilter.  It sits far above the rounding and the
@@ -327,6 +333,8 @@ def synthesize(
     levels = _levels_for(g0, g1, dedup_atol=max(min(1e-10, epsilon / 10), _MIN_DEDUP_ATOL))
     min_overlap = 1 - epsilon**2 / 4 - _OVERLAP_MARGIN
     for n in range(1, max_len + 1):
+        if n >= levels.closed_at:
+            break  # every product of length n was already searched at a shorter length
         try:
             prefixes = levels.level((n + 1) // 2)
             suffixes = levels.level(n // 2)

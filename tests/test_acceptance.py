@@ -32,7 +32,7 @@ from minqc.gates import (
     swap_controlled_phase,
     t_gate,
 )
-from minqc.linalg import dist_phase, embed_gate, phase_aligned_dist, random_unitary, tensor
+from minqc.linalg import dist_phase, embed_gate, random_unitary, tensor
 from minqc.simulator import run, schedule_from_text
 from minqc.synth import GateWord, word_product
 
@@ -138,7 +138,7 @@ def test_04_swap_interaction_identities():
             out = np.stack([double @ np.kron(col, prep) for col in np.eye(2, dtype=complex)], axis=1)
             expected = np.stack(
                 [np.kron(l.gate(bit) @ col, u @ prep) for col in np.eye(2, dtype=complex)], axis=1)
-            worst_double = max(worst_double, phase_aligned_dist(out, expected))
+            worst_double = max(worst_double, dist_phase(out, expected))
     elapsed = time.perf_counter() - start
     ok = (worst_factor < 1e-12 and worst_triple < 1e-11 and worst_double < 1e-11
           and elapsed < 1.0)

@@ -8,7 +8,6 @@ from minqc.linalg import (
     dist_phase,
     embed_gate,
     herm_exp,
-    phase_aligned_dist,
     random_unitary,
     tensor,
 )
@@ -63,6 +62,11 @@ def test_tensor_matches_index_oracle():
     # the last bit; np.kron forms each entry as the same single numpy product
     for _ in range(50):
         a, b = (random_unitary(int(d), rng) for d in rng.choice([2, 4], size=2))
+        assert np.array_equal(tensor(a, b), np.kron(a, b))
+    # vector pairs: the same single product per entry
+    for da, db in [(2, 2), (2, 4), (4, 2), (4, 8), (8, 2), (8, 8)]:
+        a = rng.standard_normal(da) + 1j * rng.standard_normal(da)
+        b = rng.standard_normal(db) + 1j * rng.standard_normal(db)
         assert np.array_equal(tensor(a, b), np.kron(a, b))
 
 
@@ -127,7 +131,19 @@ def test_dist_phase_pseudometric():
 def test_phase_aligned_dist_resolves_machine_precision():
     rng = np.random.default_rng(17)
     u = random_unitary(4, rng)
-    assert phase_aligned_dist(u, np.exp(0.52j) * u) < 1e-14
+    assert dist_phase(u, np.exp(0.52j) * u) < 1e-14
+
+
+def test_dist_phase_takes_any_equal_shape_arrays():
+    rng = np.random.default_rng(19)
+    stack = rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))
+    assert dist_phase(stack, np.exp(-1.1j) * stack) < 1e-14
+    # a vector and its negation differ by a phase; a vector and its conjugate in general do not
+    vec = stack[:, 0]
+    assert dist_phase(vec, -vec) < 1e-15
+    assert dist_phase(vec, vec.conj()) > 1e-3
+    with pytest.raises(DimensionMismatch):
+        dist_phase(stack, stack.T)
 
 
 def basis(n, index):

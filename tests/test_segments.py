@@ -181,3 +181,26 @@ INT sct 2 h
     monkeypatch.setattr(simulator, "COLUMN_BLOCK", column_block)
     unitary, _, _ = dense_reference(schedule, {})
     assert dist_phase(run(schedule).register_unitary, unitary) <= 1e-12
+
+
+def test_interleaved_lifetimes_match_dense_reference():
+    # a is used again while the later b and c are live, and b once a has
+    # left, so ancillas sit at every live position, not only the newest
+    text = """REGISTER 3
+PREP a 0
+INT swap_plain 0 a
+PREP b 1
+INT sct 1 b
+PREP c 0
+INT swap_plain 2 c
+INT swap_plain 0 a
+INT sct 1 b
+INT swap_plain 2 c
+"""
+    schedule = schedule_from_text(text, INTERACTIONS)
+    overrides = {"a": OVERRIDES[1]}
+    unitary, exits, _ = dense_reference(schedule, overrides)
+    report = run(schedule, prep_overrides=overrides)
+    assert dist_phase(report.register_unitary, unitary) <= 1e-12
+    for name, chi in exits.items():
+        assert abs(abs(np.vdot(chi, report.ancilla_exit_states[name])) - 1.0) <= 1e-12

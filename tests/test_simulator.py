@@ -83,6 +83,24 @@ def test_prep_override_with_random_pure_states():
         assert abs(abs(np.vdot(prep, report.ancilla_exit_states["e"])) - 1.0) < 1e-9
 
 
+@pytest.mark.parametrize("name, prep", [
+    ("e", [0, 0]),
+    ("e", [np.nan, 1]),
+    ("e", [np.inf, 1]),
+    ("e", [1e300, 1e300]),
+    ("e", [1, 0, 0]),
+    ("e", [[1, 0], [0, 1]]),
+    ("not_an_ancilla", [1, 0]),
+])
+def test_bad_prep_override_is_rejected_before_simulating(name, prep):
+    from minqc.cz_model import two_qubit_schedule as k_schedule
+    from minqc.synth import GateWord
+
+    schedule = k_schedule(cz_t_instance(), GateWord((0,) * 7, 0.0), "k")
+    with pytest.raises(ScheduleInvalid, match=repr(name)):
+        run(schedule, prep_overrides={name: prep})
+
+
 def test_entangled_exit_raises():
     half_swap = herm_exp(swap_gate(), np.pi / 4)
     schedule = Schedule(1, {"a": 0}, [Step("hs", 0, "a")], {"hs": half_swap})

@@ -16,7 +16,7 @@ from minqc.gates import (
     swap_gate,
     t_gate,
 )
-from minqc.linalg import dist_phase, phase_aligned_dist, random_unitary, tensor
+from minqc.linalg import dist_phase, random_unitary, tensor
 from minqc.locequiv import is_entangling
 from minqc.simulator import run
 from minqc.swap_model import (
@@ -97,7 +97,7 @@ def test_double_interaction_selected_gate_identity():
             expected = np.stack(
                 [np.kron(gate @ col, u @ anc) for col in np.eye(2, dtype=complex)], axis=1
             )
-            assert phase_aligned_dist(out, expected) < 1e-11
+            assert dist_phase(out, expected) < 1e-11
 
 
 def test_double_interaction_is_exact_without_local_offsets():

@@ -1,12 +1,15 @@
 import itertools
 import math
+import time
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from minqc import synth
 from minqc.errors import SearchExhausted
-from minqc.gates import I2, X, Z, hadamard, t_gate
+from minqc.gates import I2, X, Z, hadamard, phase_gate, t_gate
 from minqc.linalg import dist_phase, random_unitary
 from minqc.synth import (
     INCONCLUSIVE,
@@ -56,12 +59,17 @@ def words_in_scan_order(gens, max_len):
     return words, np.array(products)
 
 
-def first_hit_oracle(words, products, target, epsilon):
-    """First scanned word within epsilon of the target, or None.  Distances
-    use the closed form sqrt(|p|^2 + |t|^2 - 2|tr(p^dag t)|), minimal over
-    phase and accurate to ~1e-8, ample at epsilon ~ 0.3."""
+def scan_distances(products, target):
+    """Phase-blind distances by the closed form sqrt(|p|^2 + |t|^2 -
+    2|tr(p^dag t)|), minimal over phase and accurate to ~1e-8, ample at
+    epsilon ~ 0.3."""
     overlap = np.abs(np.einsum("nij,ij->n", products.conj(), target))
-    dists = np.sqrt(np.maximum(0.0, 4.0 - 2.0 * overlap))
+    return np.sqrt(np.maximum(0.0, 4.0 - 2.0 * overlap))
+
+
+def first_hit_oracle(words, products, target, epsilon):
+    """First scanned word within epsilon of the target, or None."""
+    dists = scan_distances(products, target)
     hits = np.flatnonzero(dists < epsilon)
     if len(hits) == 0:
         return None
@@ -187,6 +195,60 @@ def test_synthesize_deterministic():
 def test_synthesize_exhausts_on_commuting_generators():
     with pytest.raises(SearchExhausted):
         synthesize(Z, t_gate(), X, 0.01, max_len=12)
+
+
+def test_synthesize_stops_once_a_finite_group_pair_stops_growing():
+    # {Z, T} reach only the 8 powers of T: the search ends as soon as a
+    # length adds no new product, with the ordinary exhaustion text
+    synth._cached_levels.cache_clear()
+    start = time.perf_counter()
+    with pytest.raises(SearchExhausted) as long_search:
+        synthesize(Z, t_gate(), X, 0.01, max_len=10_000)
+    assert time.perf_counter() - start < 1.0
+    with pytest.raises(SearchExhausted) as short_search:
+        synthesize(Z, t_gate(), X, 0.01, max_len=24)
+    assert str(long_search.value) == str(short_search.value).replace("24", "10000")
+    # T^7, the last new product, first appears at length 4, one below the stop
+    assert synthesize(Z, t_gate(), t_gate().conj().T, 0.01, max_len=10_000).bits == (0, 1, 1, 1)
+
+
+# Finite projective groups ({Z, T}: powers of T; {X, Z}: the Paulis; {H, S}:
+# the Clifford group) stop growing within a few letters.
+FINITE_PAIRS = [(Z, t_gate()), (X, Z), (hadamard(), phase_gate(np.pi / 2)), (X, X)]
+
+
+@st.composite
+def synthesis_cases(draw):
+    """(generators, target, epsilon, max_len): a Haar-random or finite-group
+    pair, and a Haar-random or word-reachable target."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        gens = (random_unitary(2, rng), random_unitary(2, rng))
+    else:
+        gens = draw(st.sampled_from(FINITE_PAIRS))
+    if draw(st.booleans()):
+        target = random_unitary(2, rng)
+    else:
+        target = word_product(tuple(rng.integers(0, 2, size=int(rng.integers(0, 9)))), *gens)
+    epsilon = draw(st.floats(0.05, 0.6))
+    return gens, target, epsilon, draw(st.integers(0, 10))
+
+
+@settings(max_examples=80, deadline=None)
+@given(synthesis_cases())
+def test_synthesize_matches_brute_force_scan(case):
+    gens, target, epsilon, max_len = case
+    words, products = words_in_scan_order(gens, max_len)
+    # the oracle's closed form is accurate to ~1e-8: skip draws with a word at the threshold
+    assume(not np.any(np.abs(scan_distances(products, target) - epsilon) < 1e-6))
+    expected = first_hit_oracle(words, products, target, epsilon)
+    if expected is None:
+        with pytest.raises(SearchExhausted):
+            synthesize(*gens, target, epsilon, max_len=max_len)
+        return
+    word = synthesize(*gens, target, epsilon, max_len=max_len)
+    assert word.bits == expected[0]
+    assert abs(word.distance - expected[1]) < 1e-7
 
 
 @pytest.mark.parametrize("epsilon", [0.0, math.nan, math.inf, -1.0])
