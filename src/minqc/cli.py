@@ -480,7 +480,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=[*_SUITE_IDS, "all"],
         help="which suite to run (k/l are the two interaction models)",
     )
-    p_verify.add_argument("--seed", type=int, default=0)
+    p_verify.add_argument("--seed", type=_nonnegative_int, default=0)
     p_verify.add_argument("--trials", type=_nonnegative_int, default=100)
     p_verify.set_defaults(func=cmd_verify)
 
@@ -489,7 +489,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth.add_argument("--target", required=True, help="gate expression, matrix literal, file, or 'random'")
     p_synth.add_argument("--eps", type=float, required=True, help="target accuracy (phase-insensitive)")
     p_synth.add_argument("--max-len", type=_nonnegative_int, default=synth.DEFAULT_MAX_WORD_LEN)
-    p_synth.add_argument("--seed", type=int, default=0)
+    p_synth.add_argument("--seed", type=_nonnegative_int, default=0)
     p_synth.set_defaults(func=cmd_synth)
 
     p_schedule = sub.add_parser("schedule", help="simulate a schedule file and compare to a claimed gate")

@@ -218,6 +218,8 @@ class _Level(NamedTuple):
 # exhaust memory: building level 18 of a Haar-random pair peaks at 247 MB RSS
 # (x86_64, numpy 2.4).  No level that could exceed this size is built.
 _MAX_LEVEL_PRODUCTS = 1 << 18
+# Products whose projective quaternions agree within this tolerance are one product.
+_DEDUP_ATOL = 1e-10
 # Dedup keys are quaternion entries (|q| <= 1) over the tolerance: at this floor they fit in int64.
 _MIN_DEDUP_ATOL = 1e-18
 
@@ -225,23 +227,20 @@ _MIN_DEDUP_ATOL = 1e-18
 class _WordLevels:
     """Length-graded products of a generator pair, deduplicated projectively.
 
-    Level m holds all distinct products of length-m words, each tagged with
-    the lexicographically first word producing it.  Duplicates merge only
-    when their projective quaternions agree within ``dedup_atol``, so the
-    lex-minimal candidate at any search level is preserved.
-
-    ``closed_at`` is the first level whose dedup keys all occur at shorter
-    levels.  Each level is the generators times the one before, so from then
-    on every product is that of a word shorter than ``closed_at``.
+    Level m holds the products of length-m words that no shorter word has,
+    each tagged with the lexicographically first word producing it.
+    Products merge only when their projective quaternions agree within
+    ``dedup_atol``, so the lex-minimal candidate at any search level is
+    preserved.  Each level is the generators times the one before, so once a
+    level is empty every later one is too.
     """
 
-    def __init__(self, g0: np.ndarray, g1: np.ndarray, dedup_atol: float = 1e-10):
+    def __init__(self, g0: np.ndarray, g1: np.ndarray, dedup_atol: float):
         self.gens = np.array([g0, g1], dtype=complex)
         self.dedup_atol = dedup_atol
         identity = np.eye(2, dtype=complex)[None]
         self.levels = [_Level([()], identity, _quaternions(identity))]
         self.seen_keys = self._keys(self.levels[0].quats)  # distinct, over all levels built
-        self.closed_at: float = math.inf
 
     def _keys(self, quats: np.ndarray) -> np.ndarray:
         return np.round(quats / self.dedup_atol).astype(np.int64)
@@ -259,13 +258,12 @@ class _WordLevels:
             # row 2i + k is gens[k] @ last.products[i]: parents in order, letter 0 first
             products = (self.gens[None] @ last.products[:, None]).reshape(-1, 2, 2)
             quats = _quaternions(products)
-            # first occurrences within this level, and the union with the shorter levels' keys
-            keys = self._keys(quats)
-            seen, first = np.unique(np.concatenate([keys, self.seen_keys]), axis=0, return_index=True)
-            keep = np.sort(first[first < len(keys)])
-            if len(seen) == len(self.seen_keys):
-                self.closed_at = min(self.closed_at, len(self.levels))
-            self.seen_keys = seen
+            # the shorter levels' keys come first, so a row is kept only at its key's first occurrence
+            n_seen = len(self.seen_keys)
+            self.seen_keys, first = np.unique(
+                np.concatenate([self.seen_keys, self._keys(quats)]), axis=0, return_index=True
+            )
+            keep = np.sort(first[first >= n_seen]) - n_seen
             bits = [last.bits[i // 2] + (int(i % 2),) for i in keep]
             self.levels.append(_Level(bits, products[keep], quats[keep]))
         return self.levels[m]
@@ -282,7 +280,7 @@ def _cached_levels(g0: bytes, g1: bytes, dedup_atol: float) -> _WordLevels:
     return _WordLevels(*gens, dedup_atol)
 
 
-def _levels_for(g0: np.ndarray, g1: np.ndarray, dedup_atol: float = 1e-10) -> _WordLevels:
+def _levels_for(g0: np.ndarray, g1: np.ndarray, dedup_atol: float = _DEDUP_ATOL) -> _WordLevels:
     return _cached_levels(g0.tobytes(), g1.tobytes(), float(dedup_atol))
 
 
@@ -326,15 +324,9 @@ def synthesize(
     if not 0 < epsilon < math.inf:
         raise ValueError("epsilon must be positive and finite")
 
-    d = dist_phase(np.eye(2, dtype=complex), target)
-    if d < epsilon:
-        return GateWord((), d)
-
-    levels = _levels_for(g0, g1, dedup_atol=max(min(1e-10, epsilon / 10), _MIN_DEDUP_ATOL))
+    levels = _levels_for(g0, g1, dedup_atol=max(min(_DEDUP_ATOL, epsilon / 10), _MIN_DEDUP_ATOL))
     min_overlap = 1 - epsilon**2 / 4 - _OVERLAP_MARGIN
-    for n in range(1, max_len + 1):
-        if n >= levels.closed_at:
-            break  # every product of length n was already searched at a shorter length
+    for n in range(max_len + 1):
         try:
             prefixes = levels.level((n + 1) // 2)
             suffixes = levels.level(n // 2)
@@ -342,6 +334,8 @@ def synthesize(
             raise SearchExhausted(
                 f"no word of length <= {n - 1} within {epsilon:g} of the target; length {n}: {exc}"
             ) from None
+        if not prefixes.bits:
+            break  # every word of length >= n has the product of a shorter word, already searched
         pulled_back = _quaternions(suffixes.products.conj().transpose(0, 2, 1) @ target)
         candidates: list[tuple[tuple[int, ...], float]] = []
         for j, i in _overlapping_pairs(pulled_back, prefixes.quats, min_overlap):

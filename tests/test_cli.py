@@ -218,13 +218,21 @@ def test_error_paths_exit_without_traceback(capsys, monkeypatch, recwarn, tmp_pa
         assert report["pass"] is False and report["error"].startswith("ancilla 'a' exits step 1")
 
 
-def test_invalid_arguments_exit_2():
+def test_invalid_arguments_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["verify", "frobnicate"])
     assert exc.value.code == 2
     with pytest.raises(SystemExit) as exc:
         cli.main(["verify", "k", "--trials", "-3"])
     assert exc.value.code == 2
+    # a negative seed names its flag, also when no random gate is asked for
+    for argv in (["verify", "all", "--seed", "-1"],
+                 ["synth", "--gens", "H,THT", "--target", "H", "--eps", "0.1", "--seed", "-1"]):
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        assert "argument --seed: must be non-negative" in capsys.readouterr().err
 
 
 def test_exit_codes_documented_in_module():

@@ -251,6 +251,44 @@ def test_synthesize_matches_brute_force_scan(case):
     assert abs(word.distance - expected[1]) < 1e-7
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(st.integers(0, 2**32 - 1), st.sampled_from(FINITE_PAIRS)))
+def test_levels_keep_the_words_whose_product_is_new_at_their_length(pair):
+    if isinstance(pair, int):
+        rng = np.random.default_rng(pair)
+        pair = (random_unitary(2, rng), random_unitary(2, rng))
+    levels = synth._WordLevels(*pair, synth._DEDUP_ATOL)
+    words, products = words_in_scan_order(pair, 8)
+    keys = levels._keys(synth._quaternions(products))
+    seen = set()
+    new_at = []  # scan indices of the words whose key first appears there
+    for index, key in enumerate(map(tuple, keys)):
+        if key not in seen:
+            seen.add(key)
+            new_at.append(index)
+    for m in range(9):
+        expected = [index for index in new_at if len(words[index]) == m]
+        level = levels.level(m)
+        assert level.bits == [words[index] for index in expected]
+        # the scan's letter-by-letter products may differ from the batched ones in the last bits
+        assert np.allclose(level.products, products[expected], rtol=0, atol=1e-14)
+
+
+def test_tiny_epsilon_search_over_a_finite_group_pair_stays_small():
+    # below epsilon ~ 1e-15 the dedup keys sit at the products' rounding, so
+    # the levels never empty, but dropping every product a shorter word has
+    # keeps each one small
+    synth._cached_levels.cache_clear()
+    start = time.perf_counter()
+    with pytest.raises(SearchExhausted) as exc:
+        synthesize(Z, t_gate(), X, 1e-16, max_len=1000)
+    assert time.perf_counter() - start < 1.0
+    assert str(exc.value) == "no word of length <= 1000 within 1e-16 of the target"
+    levels = synth._levels_for(Z, t_gate(), 1e-16 / 10)  # the search's dedup tolerance
+    assert len(levels.levels) == 501
+    assert max(len(level.bits) for level in levels.levels) <= 8
+
+
 @pytest.mark.parametrize("epsilon", [0.0, math.nan, math.inf, -1.0])
 def test_synthesize_rejects_bad_epsilon(epsilon):
     with pytest.raises(ValueError):
