@@ -1,0 +1,144 @@
+"""Identity battery: one digest line per case, for diffing two source trees.
+
+Each case runs one CLI command or library call of the ``minqc`` found on the
+import path and prints its name, its outcome (the exit code, ``ok`` or the
+exception raised) and a digest of its output: the report bytes on stdout and
+stderr with ``wall_time_s`` masked, or the bytes of the arrays, floats and
+words a library call returns.  Run it once per tree and diff the outputs:
+
+    PYTHONPATH=<parent>/src python scripts/identity_battery.py > parent.txt
+    PYTHONPATH=src python scripts/identity_battery.py > change.txt
+    diff parent.txt change.txt
+
+An empty diff means every report byte but ``wall_time_s``, every exit code
+and every returned array is unchanged.  Run both on one host: BLAS may round
+differently on another machine.  ``random_schedule`` comes from this
+checkout's ``perfbench/workloads.py``.  The whole battery takes about 6 s
+on a 2-core x86_64 host.
+"""
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import os
+import re
+import sys
+from importlib import resources
+from pathlib import Path
+
+import numpy as np
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+
+from minqc import cli, simulator, synth  # noqa: E402
+from minqc.catalog import parse_gate_spec, standard_interactions  # noqa: E402
+from minqc.errors import AncillaEntangledAtExit, SearchExhausted  # noqa: E402
+from minqc.linalg import random_unitary  # noqa: E402
+from workloads import random_schedule  # noqa: E402
+
+WALL_TIME = re.compile(rb'"wall_time_s": [0-9.e+-]+')
+
+CLI_CASES = [
+    *(["verify", "all", "--seed", seed, "--trials", trials] for seed in ("0", "7") for trials in ("100", "25", "1")),
+    ["schedule", "cz_t_two_qubit.sched", "--claimed", "cz_t_entangler.mat"],
+    ["schedule", "sct_two_qubit.sched", "--claimed", "sct_entangler.mat"],
+    ["schedule", "sct_single_qubit_1.sched", "--claimed", "THT"],
+    ["schedule", "sct_single_qubit_1.sched", "--claimed", "H"],
+    ["synth", "--gens", "T,HT", "--target", "H", "--eps", "1e-10"],
+    ["synth", "--gens", "H,THT", "--target", "THT", "--eps", "1e-8"],
+    ["synth", "--gens", "Z,T", "--target", "X", "--eps", "0.01"],
+    ["synth", "--gens", "Z,T", "--target", "X", "--eps", "1e-17", "--max-len", "300"],
+    ["synth", "--gens", "H,THT", "--target", "random", "--eps", "0.05", "--max-len", "44", "--seed", "3"],
+    ["synth", "--gens", "random,random", "--target", "random", "--eps", "0.2", "--max-len", "14", "--seed", "5"],
+]
+
+
+def digest(*parts) -> str:
+    h = hashlib.sha256()
+    for part in parts:
+        h.update(part if isinstance(part, bytes) else repr(part).encode())
+    return h.hexdigest()[:16]
+
+
+def emit(name: str, outcome: str, *parts) -> None:
+    print(f"{name:<72} {outcome:<22} {digest(*parts)}", flush=True)
+
+
+def run_cli(argv: list[str]) -> None:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    emit(" ".join(argv), f"exit {code}", WALL_TIME.sub(b'"wall_time_s": MASKED', out.getvalue().encode()),
+         err.getvalue().encode())
+
+
+def word_outcome(g0, g1, target, epsilon: float, max_len: int):
+    try:
+        word = synth.synthesize(g0, g1, target, epsilon, max_len=max_len)
+    except SearchExhausted as exc:
+        return ("exhausted", str(exc))
+    return (word.bits, word.distance.hex())
+
+
+def synthesis_cases() -> None:
+    h, tht = parse_gate_spec("H"), parse_gate_spec("THT")
+    rng = np.random.default_rng(109)  # acceptance check 09's targets
+    targets = [random_unitary(2, rng) for _ in range(100)]
+    for max_len in (24, 44):
+        emit(f"synthesize H,THT on check-09 targets at 0.05, max_len {max_len}", "ok",
+             *(word_outcome(h, tht, t, 0.05, max_len) for t in targets))
+    rng = np.random.default_rng(20)
+    triples = [tuple(random_unitary(2, rng) for _ in range(3)) for _ in range(20)]
+    for epsilon, max_len in ((0.2, 14), (1e-9, 22)):
+        emit(f"synthesize 20 random pairs at {epsilon:g}, max_len {max_len}", "ok",
+             *(word_outcome(*triple, epsilon, max_len) for triple in triples))
+    for pair in ("H,THT", "T,HT"):
+        g0, g1 = (parse_gate_spec(g) for g in pair.split(","))
+        for depth in (0, 8, 16):
+            emit(f"density_probe {pair} depth {depth}", "ok", synth.density_probe(g0, g1, depth).hex())
+
+
+def run_outcome(schedule, overrides=None) -> tuple[str, list]:
+    try:
+        report = simulator.run(schedule, prep_overrides=overrides)
+    except AncillaEntangledAtExit as exc:
+        return "AncillaEntangledAtExit", [str(exc)]
+    exits = sorted(report.ancilla_exit_states.items())
+    return "ok", [
+        report.register_unitary.tobytes(),
+        *(name.encode() + chi.tobytes() for name, chi in exits),
+        sorted((name, d.hex()) for name, d in report.purity_deficits.items()),
+        report.warnings,
+    ]
+
+
+def simulator_cases() -> None:
+    interactions = standard_interactions()
+    for n in (2, 3, 4, 5, 9, 10):
+        text, _, _ = random_schedule(n, np.random.default_rng(n))
+        outcome, parts = run_outcome(simulator.schedule_from_text(text, interactions))
+        emit(f"simulator.run random_schedule n={n}", outcome, *parts)
+    # overridden preparations: ancillas that entangle, so the run names a rejected input
+    for n in (3, 4):
+        schedule = simulator.schedule_from_text(random_schedule(n, np.random.default_rng(n))[0], interactions)
+        plus = {a: np.array([1, 1]) / np.sqrt(2) for a in schedule.preps}
+        outcome, parts = run_outcome(schedule, plus)
+        emit(f"simulator.run random_schedule n={n}, every ancilla in |+>", outcome, *parts)
+
+
+def main() -> int:
+    here = os.getcwd()
+    os.chdir(resources.files("minqc") / "data")  # schedule reports name the file as given
+    try:
+        for argv in CLI_CASES:
+            run_cli(argv)
+    finally:
+        os.chdir(here)
+    synthesis_cases()
+    simulator_cases()
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -87,30 +87,33 @@ def exit_residual(op: np.ndarray, gate: np.ndarray, anc_in: np.ndarray, anc_out:
     )
 
 
-def apply_gate(state: np.ndarray, g: np.ndarray, targets: list[int]) -> np.ndarray:
+def apply_gate(state: np.ndarray, g: np.ndarray, targets: list[int], *, stack: int = 0) -> np.ndarray:
     """Apply ``g`` to the listed qubits of ``state`` (identity elsewhere).
 
-    The first axis of ``state`` holds the 2^n basis amplitudes, little-endian;
-    any trailing axes are batch columns, each transformed alike.  Returns an
-    array of the same shape.  ``targets[0]`` addresses the highest-index qubit
-    slot of ``g``, matching the ``tensor`` convention; order is significant
-    for non-symmetric gates.
+    The first ``stack`` axes of ``state`` index states that each take their
+    own product with ``g``; the next holds the 2^n basis amplitudes,
+    little-endian; any trailing axes are batch columns, transformed alike in
+    one product.  Returns an array of the same shape.  ``targets[0]``
+    addresses the highest-index qubit slot of ``g``, matching the ``tensor``
+    convention; order is significant for non-symmetric gates.
     """
     g = as_matrix(g)
     state = np.asarray(state)
-    n = state.shape[0].bit_length() - 1
-    if state.shape[0] != 2**n:
-        raise DimensionMismatch(f"state axis of length {state.shape[0]} is not 2**n")
+    lead = state.shape[:stack]
+    n = state.shape[stack].bit_length() - 1
+    if state.shape[stack] != 2**n:
+        raise DimensionMismatch(f"state axis of length {state.shape[stack]} is not 2**n")
     m = len(targets)
     if g.shape[0] != 2**m:
         raise BadTargets(f"gate dimension {g.shape[0]} does not match {m} targets")
     if len(set(targets)) != m or any(not (0 <= t < n) for t in targets):
         raise BadTargets(f"targets {targets} invalid for {n} qubits")
-    # axis for qubit q in the reshaped tensor is n-1-q (row-major, little-endian)
-    axes = [n - 1 - t for t in targets]
-    moved = np.moveaxis(state.reshape([2] * n + [-1]), axes, range(m))
-    block = g @ moved.reshape(2**m, -1)
-    return np.moveaxis(block.reshape(moved.shape), range(m), axes).reshape(state.shape)
+    # axis for qubit q in the reshaped tensor is stack+n-1-q (row-major, little-endian)
+    axes = [stack + n - 1 - t for t in targets]
+    order = [*range(stack), *axes, *(a for a in range(stack, stack + n + 1) if a not in axes)]
+    moved = state.reshape(lead + (2,) * n + (-1,)).transpose(order)
+    block = g @ moved.reshape(lead + (2**m, -1))
+    return block.reshape(moved.shape).transpose(np.argsort(order)).reshape(state.shape)
 
 
 def embed_gate(g: np.ndarray, targets: list[int], num_qubits: int) -> np.ndarray:

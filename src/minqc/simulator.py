@@ -7,14 +7,15 @@ basis state and never operated on directly.
 The run splits the steps into segments: maximal runs of overlapping ancilla
 lifetimes (first to last use), which tile the step list.  No ancilla is live
 across a segment boundary, so each segment acts on the register as one
-operator on the register qubits it touches.  A segment is simulated on every
-basis input of just those qubits: ancillas attach to the live statevector at
-first use and are factored out (with a purity check) right after their last
-use, so the live dimension is 2^(segment qubits + concurrently live
-ancillas).  The segment operators are then composed into the 2^n x 2^n
-register operator.  By linearity an ancilla exits in one fixed pure state for
-every register input exactly when it does so for every basis input of its
-segment's qubits.
+operator on the register qubits it touches.  A segment is simulated on all
+basis inputs of just those qubits as one stack of statevectors (each input
+still its own product, so the bits are those of one input at a time):
+ancillas attach at first use and are factored out (with a purity check)
+right after their last use, so the live dimension is 2^(segment qubits +
+concurrently live ancillas).  The segment operators are then composed into
+the 2^n x 2^n register operator.  By linearity an ancilla exits in one fixed
+pure state for every register input exactly when it does so for every basis
+input of its segment's qubits.
 
 Text format, one directive per line ('#' starts a comment):
 
@@ -33,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import AncillaEntangledAtExit, ScheduleInvalid, ScheduleParseError
-from .linalg import apply_gate, dist_phase, tensor
+from .linalg import apply_gate, dist_phase
 
 # Purity-deficit bands: below DECOUPLE_ATOL is clean product form, between the
 # two the run proceeds with a warning, above WARN_ATOL the ancilla is declared
@@ -75,8 +76,6 @@ class Schedule:
         if self.register_size > MAX_REGISTER_QUBITS:
             raise ScheduleInvalid(f"register of {self.register_size} qubits exceeds the cap of {MAX_REGISTER_QUBITS}")
         last_use = {step.ancilla: i for i, step in enumerate(self.steps)}
-        live: set[str] = set()
-        peak = 0
         for i, step in enumerate(self.steps):
             if step.ancilla not in self.preps:
                 raise ScheduleInvalid(f"step {i}: ancilla {step.ancilla!r} never prepared")
@@ -89,10 +88,8 @@ class Schedule:
             g = self.interactions[step.interaction]
             if g.shape != (4, 4):
                 raise ScheduleInvalid(f"interaction {step.interaction!r} is not a 4x4 matrix")
-            live.add(step.ancilla)
-            peak = max(peak, len(live))
-            if last_use[step.ancilla] == i:
-                live.remove(step.ancilla)
+        # the most ancillas live at once
+        peak = max((live - len(qubits) for _, _, qubits, live in _segments(self.steps, last_use)), default=0)
         if self.register_size + peak > MAX_LIVE_QUBITS:
             raise ScheduleInvalid(f"{self.register_size + peak} live qubits exceed the cap of {MAX_LIVE_QUBITS}")
         for ancilla, bit in self.preps.items():
@@ -150,8 +147,8 @@ def run(schedule: Schedule, prep_overrides: dict[str, np.ndarray] | None = None)
     # the segments fill in the ancilla fields; the operator is composed last
     report = RunReport(np.empty((0, 0), dtype=complex), {}, {})
     operators = [
-        (_run_segment(schedule, preps, last_use, report, start, stop, qubits), qubits)
-        for start, stop, qubits in _segments(schedule.steps, last_use)
+        (_run_segment(schedule, preps, last_use, report, start, stop, qubits, live_qubits), qubits)
+        for start, stop, qubits, live_qubits in _segments(schedule.steps, last_use)
     ]
     report.register_unitary = _compose(operators, schedule.register_size)
     return report
@@ -172,20 +169,26 @@ def _prep_states(schedule: Schedule, overrides: dict[str, np.ndarray]) -> dict[s
     return preps
 
 
-def _segments(steps: list[Step], last_use: dict[str, int]) -> list[tuple[int, int, tuple[int, ...]]]:
-    """Maximal runs of overlapping ancilla lifetimes, as (start, stop, register qubits).
+def _segments(steps: list[Step], last_use: dict[str, int]) -> list[tuple[int, int, tuple[int, ...], int]]:
+    """Maximal runs of overlapping ancilla lifetimes, as (start, stop, register
+    qubits, peak live qubits: those qubits plus the most ancillas live at once).
 
     Each run ends at the first step that closes every lifetime opened in it,
     so the runs tile the steps and no ancilla is live across a boundary.
     """
     segments = []
-    start = end = 0
+    start = end = peak = 0
+    live: set[str] = set()
     for i, step in enumerate(steps):
         end = max(end, last_use[step.ancilla])
+        live.add(step.ancilla)
+        peak = max(peak, len(live))
+        if last_use[step.ancilla] == i:
+            live.remove(step.ancilla)
         if i == end:
             qubits = tuple(sorted({s.register_qubit for s in steps[start:i + 1]}))
-            segments.append((start, i + 1, qubits))
-            start = i + 1
+            segments.append((start, i + 1, qubits, len(qubits) + peak))
+            start, peak = i + 1, 0
     return segments
 
 
@@ -197,13 +200,17 @@ def _run_segment(
     start: int,
     stop: int,
     qubits: tuple[int, ...],
+    live_qubits: int,
 ) -> np.ndarray:
     """Run ``steps[start:stop]``, a segment, on the sub-register ``qubits``.
 
-    Simulates the steps on each of the 2^k basis inputs of the segment's k
-    register qubits (sub-register qubit j is register qubit ``qubits[j]``)
-    and returns the 2^k x 2^k operator they induce.  The exit states,
-    deficits and warnings of the segment's ancillas go into ``report``.
+    Simulates the steps on the 2^k basis inputs of the segment's k register
+    qubits (sub-register qubit j is register qubit ``qubits[j]``), stacked in
+    runs of 2^(MAX_LIVE_QUBITS - ``live_qubits``) consecutive inputs, and
+    returns the 2^k x 2^k operator they induce.  The exit states, deficits
+    and warnings (in input, step order) of the segment's ancillas go into
+    ``report``; a rejection names the lowest failing input at its first
+    failing step, as one input at a time would.
     """
     steps = schedule.steps[start:stop]
     local = {q: j for j, q in enumerate(qubits)}
@@ -213,45 +220,49 @@ def _run_segment(
     deficits = report.purity_deficits
     deficits.update({a: 0.0 for a in schedule.preps if start <= last_use[a] < stop})
 
-    for col in range(sub_dim):
-        state = np.zeros(sub_dim, dtype=complex)
-        state[col] = 1.0
+    chunk = 2 ** (MAX_LIVE_QUBITS - live_qubits)
+    for lo in range(0, sub_dim, chunk):
+        state = np.eye(min(chunk, sub_dim - lo), sub_dim, lo, dtype=complex)  # row c: input lo + c
         live: list[str] = []  # attached ancillas; live[p] sits on qubit len(qubits) + p
+        # row `failed` holds the lowest rejected input so far; the rows past it go unchecked
+        failed, error = len(state), None
+        warnings: list[list[str]] = [[] for _ in state]
 
         for i, step in enumerate(steps, start):
             if step.ancilla not in live:
                 live.append(step.ancilla)
-                state = tensor(preps[step.ancilla], state)
+                # each row becomes tensor(prep, row)
+                state = (preps[step.ancilla][:, None] * state[:, None, :]).reshape(len(state), -1)
             position = len(qubits) + live.index(step.ancilla)
             gate = schedule.interactions[step.interaction]
-            state = apply_gate(state, gate, [local[step.register_qubit], position])
+            state = apply_gate(state, gate, [local[step.register_qubit], position], stack=1)
 
             if last_use[step.ancilla] == i:
                 live.remove(step.ancilla)
-                state, chi, own_deficit, ref_deficit = _detach(
-                    state, position, exit_states.get(step.ancilla)
-                )
-                if own_deficit >= WARN_ATOL:
-                    raise AncillaEntangledAtExit(
-                        f"ancilla {step.ancilla!r} exits step {i} entangled with the register "
-                        f"(purity deficit {own_deficit:.3e}, sub-register input {col} of "
-                        f"register qubits {list(qubits)})"
-                    )
-                if ref_deficit >= WARN_ATOL:
-                    raise AncillaEntangledAtExit(
-                        f"ancilla {step.ancilla!r} exits step {i} in a different state for "
-                        f"sub-register input {col} of register qubits {list(qubits)} "
-                        f"(residual {ref_deficit:.3e})"
-                    )
-                deficit = max(own_deficit, ref_deficit)
-                if deficit >= DECOUPLE_ATOL:
-                    report.warnings.append(
-                        f"ancilla {step.ancilla!r}: purity deficit {deficit:.3e} above clean threshold"
-                    )
-                deficits[step.ancilla] = max(deficits[step.ancilla], deficit)
+                state, chi, input_deficits = _detach(state, position, exit_states.get(step.ancilla), failed)
+                for c, (own_deficit, ref_deficit) in enumerate(input_deficits):
+                    if max(own_deficit, ref_deficit) >= WARN_ATOL:
+                        where = f"sub-register input {lo + c} of register qubits {list(qubits)}"
+                        failed, error = c, AncillaEntangledAtExit(
+                            f"ancilla {step.ancilla!r} exits step {i} entangled with the register "
+                            f"(purity deficit {own_deficit:.3e}, {where})"
+                            if own_deficit >= WARN_ATOL
+                            else f"ancilla {step.ancilla!r} exits step {i} in a different state for "
+                            f"{where} (residual {ref_deficit:.3e})"
+                        )
+                        break
+                    deficit = max(own_deficit, ref_deficit)
+                    if deficit >= DECOUPLE_ATOL:
+                        warnings[c].append(
+                            f"ancilla {step.ancilla!r}: purity deficit {deficit:.3e} above clean threshold"
+                        )
+                    deficits[step.ancilla] = max(deficits[step.ancilla], deficit)
                 exit_states.setdefault(step.ancilla, chi)
 
-        operator[:, col] = state
+        if error is not None:
+            raise error
+        report.warnings.extend(w for input_warnings in warnings for w in input_warnings)
+        operator[:, lo:lo + len(state)] = state.T
 
     return operator
 
@@ -289,26 +300,27 @@ def _compose(operators: list[tuple[np.ndarray, tuple[int, ...]]], register_size:
     return register_unitary
 
 
-def _detach(state: np.ndarray, position: int, reference: np.ndarray | None):
-    """Factor one qubit out of the state.
+def _detach(states: np.ndarray, position: int, reference: np.ndarray | None, count: int):
+    """Factor one qubit out of each state (row) of a stack.
 
-    Returns (rest, exit_state, own_deficit, ref_deficit): the purity deficit
-    of the qubit's reduced state, and the residual against the pinned exit
+    Returns (rest, exit_state, deficits): for each of the first ``count``
+    rows, the purity deficit of the qubit's reduced state and the residual
+    against the exit state, each by the same scalar operations as for a lone
     state.  The exit state is pinned on the segment's first input column and
     reused for the rest, which both enforces a consistent exit across columns
     and keeps the factored phases coherent so the register operator is well
     defined up to one overall phase.
     """
-    n = len(state).bit_length() - 1
-    axis = n - 1 - position
-    block = np.moveaxis(state.reshape([2] * n), axis, 0).reshape(2, -1)
-    rho = block @ block.conj().T
-    evals, evecs = np.linalg.eigh(rho)
-    own_deficit = float(max(0.0, 1.0 - evals[-1] / evals.sum()))
-    chi = reference if reference is not None else _canonical_phase(evecs[:, -1])
-    rest = chi.conj() @ block
-    ref_deficit = float(max(0.0, 1.0 - np.linalg.norm(rest) ** 2 / evals.sum()))
-    return rest, chi, own_deficit, ref_deficit
+    # index = (higher qubits, the qubit, lower qubits): the qubit's bit moves in front
+    blocks = states.reshape(len(states), -1, 2, 2**position).swapaxes(1, 2).reshape(len(states), 2, -1)
+    evals, evecs = np.linalg.eigh(blocks @ blocks.conj().swapaxes(1, 2))
+    chi = reference if reference is not None else _canonical_phase(evecs[0, :, -1])
+    rest = chi.conj() @ blocks
+    deficits = [
+        (float(max(0.0, 1.0 - e[-1] / e.sum())), float(max(0.0, 1.0 - np.linalg.norm(r) ** 2 / e.sum())))
+        for e, r in zip(evals[:count], rest[:count])
+    ]
+    return rest, chi, deficits
 
 
 def verify_against(report: RunReport, claimed: np.ndarray, tol: float, label: str = "claimed") -> bool:

@@ -6,18 +6,33 @@ segment operators.  The reference here never segments: it carries the
 whole register, every register input at once and every live ancilla, applies
 each interaction as an ``embed_gate`` matrix, and projects each ancilla out
 after its last use onto the top singular vector of its joint block.
+
+The simulator runs all basis inputs of a segment as one stack; a second
+reference runs them one at a time, as 1-D statevectors, and must give the
+same bits, messages and warnings.
 """
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from minqc.catalog import standard_interactions
 from minqc.errors import AncillaEntangledAtExit
-from minqc.gates import swap_gate
-from minqc.linalg import dist_phase, embed_gate, herm_exp
+from minqc.gates import cnot_gate, hadamard, swap_gate
+from minqc.linalg import apply_gate, dist_phase, embed_gate, herm_exp, tensor
 from minqc import simulator
-from minqc.simulator import WARN_ATOL, Schedule, Step, run, schedule_from_text, schedule_to_text
+from minqc.simulator import (
+    DECOUPLE_ATOL,
+    WARN_ATOL,
+    Schedule,
+    Step,
+    run,
+    schedule_from_text,
+    schedule_to_text,
+)
 
 INTERACTIONS = standard_interactions()
 
@@ -124,6 +139,125 @@ def test_segment_run_matches_dense_reference(drawn):
     assert report.purity_deficits.keys() == deficits.keys()
     for name, deficit in deficits.items():
         assert abs(report.purity_deficits[name] - deficit) <= 1e-12
+
+
+def one_input_at_a_time(schedule: Schedule, overrides):
+    """``run`` with each basis input of a segment simulated on its own.
+
+    Returns (register operator, exit states, purity deficits, warnings), or
+    the rejection message of the lowest failing input at its first failing
+    step.
+    """
+    last_use = schedule.validate()
+    preps = simulator._prep_states(schedule, overrides)
+    exits, deficits, warnings, operators = {}, {}, [], []
+    for start, stop, qubits, _ in simulator._segments(schedule.steps, last_use):
+        local = {q: j for j, q in enumerate(qubits)}
+        operator = np.empty((2 ** len(qubits),) * 2, dtype=complex)
+        deficits.update({a: 0.0 for a in schedule.preps if start <= last_use[a] < stop})
+        for col in range(len(operator)):
+            state = np.eye(len(operator), dtype=complex)[col]
+            live = []
+            for i, step in enumerate(schedule.steps[start:stop], start):
+                if step.ancilla not in live:
+                    live.append(step.ancilla)
+                    state = tensor(preps[step.ancilla], state)
+                position = len(qubits) + live.index(step.ancilla)
+                gate = schedule.interactions[step.interaction]
+                state = apply_gate(state, gate, [local[step.register_qubit], position])
+                if last_use[step.ancilla] != i:
+                    continue
+                live.remove(step.ancilla)
+                n = len(state).bit_length() - 1
+                block = np.moveaxis(state.reshape([2] * n), n - 1 - position, 0).reshape(2, -1)
+                evals, evecs = np.linalg.eigh(block @ block.conj().T)
+                own = float(max(0.0, 1.0 - evals[-1] / evals.sum()))
+                if step.ancilla not in exits:
+                    top = evecs[:, -1]
+                    pivot = top[np.argmax(np.abs(top))]
+                    exits[step.ancilla] = top * (abs(pivot) / pivot)
+                state = exits[step.ancilla].conj() @ block
+                ref = float(max(0.0, 1.0 - np.linalg.norm(state) ** 2 / evals.sum()))
+                where = f"sub-register input {col} of register qubits {list(qubits)}"
+                if own >= WARN_ATOL:
+                    return (f"ancilla {step.ancilla!r} exits step {i} entangled with the register "
+                            f"(purity deficit {own:.3e}, {where})")
+                if ref >= WARN_ATOL:
+                    return f"ancilla {step.ancilla!r} exits step {i} in a different state for {where} (residual {ref:.3e})"
+                if max(own, ref) >= DECOUPLE_ATOL:
+                    warnings.append(f"ancilla {step.ancilla!r}: purity deficit {max(own, ref):.3e} above clean threshold")
+                deficits[step.ancilla] = max(deficits[step.ancilla], own, ref)
+            operator[:, col] = state
+        operators.append((operator, qubits))
+    return simulator._compose(operators, schedule.register_size), exits, deficits, warnings
+
+
+# One segment whose ancillas a (qubit 0, exits step 2) and b (qubit 1, exits
+# step 1) each warn on the inputs that set their qubit: in (input, step)
+# order the warnings name a, b, b, a; in (step, input) order b, b, a, a.
+NEARLY_SWAPS = Schedule(
+    2, {"a": 0, "b": 0}, [Step("ns", 0, "a"), Step("ns", 1, "b"), Step("ns", 0, "a")],
+    {"ns": herm_exp(swap_gate(), 1e-4)},
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(schedules(), st.integers(0, 2))
+@example(drawn=(NEARLY_SWAPS, {}), slack=2)
+def test_stacked_inputs_match_one_input_at_a_time(drawn, slack):
+    # a live-qubit cap `slack` above the schedule's peak cuts the largest
+    # segments' stacks into runs of 2^slack inputs
+    schedule, overrides = drawn
+    expected = one_input_at_a_time(schedule, overrides)
+    segments = simulator._segments(schedule.steps, schedule.validate())
+    peak = max(live - len(qubits) for _, _, qubits, live in segments)
+    with mock.patch.object(simulator, "MAX_LIVE_QUBITS", schedule.register_size + peak + slack):
+        if isinstance(expected, str):
+            with pytest.raises(AncillaEntangledAtExit) as err:
+                run(schedule, prep_overrides=overrides)
+            assert str(err.value) == expected
+            return
+        report = run(schedule, prep_overrides=overrides)
+    unitary, exits, deficits, warnings = expected
+    assert np.array_equal(report.register_unitary, unitary)
+    assert report.ancilla_exit_states.keys() == exits.keys()
+    assert all(np.array_equal(report.ancilla_exit_states[a], chi) for a, chi in exits.items())
+    assert report.purity_deficits == deficits
+    assert report.warnings == warnings
+
+
+def test_rejection_names_the_lowest_failing_input_at_its_first_failing_step():
+    # Input 1 (qubit 0 set) turns the controlled-H ancilla a to |+>, so a
+    # exits step 1 in another state than for input 0.  Input 0 passes there
+    # and fails only at step 2, where b, half-swapped with qubit 1 at step 0,
+    # exits entangled.  One input at a time, input 0 is rejected first.
+    controlled_h = np.eye(4, dtype=complex)
+    controlled_h[2:, 2:] = hadamard()
+    interactions = {**INTERACTIONS, "ch": controlled_h, "half_swap": herm_exp(swap_gate(), np.pi / 4)}
+    text = "REGISTER 2\nPREP b 1\nINT half_swap 1 b\nPREP a 0\nINT ch 0 a\nINT cz_plain 1 b\n"
+    schedule = schedule_from_text(text, interactions)
+    with pytest.raises(AncillaEntangledAtExit) as err:
+        run(schedule)
+    assert str(err.value) == one_input_at_a_time(schedule, {})
+    assert str(err.value).startswith("ancilla 'b' exits step 2 entangled with the register")
+    assert str(err.value).endswith("sub-register input 0 of register qubits [0, 1])")
+
+
+def test_segment_stack_stays_under_the_live_qubit_cap():
+    # One ancilla on all 12 register qubits: 4,096 inputs of 2^13 amplitudes,
+    # 512 MiB as one stack.  Runs of 2^(MAX_LIVE_QUBITS - 13) = 128 inputs
+    # take 16 MiB each.  The ancilla picks up the register's parity, so input
+    # 1 is rejected after the first run; by then the traced peak holds that
+    # run and the 256 MiB segment operator, allocated up front and untouched.
+    schedule = Schedule(12, {"a": 0}, [Step("cx", q, "a") for q in range(12)], {"cx": cnot_gate()})
+    tracemalloc.start()
+    try:
+        with pytest.raises(AncillaEntangledAtExit, match="step 11 in a different state for sub-register input 1 "):
+            run(schedule)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - 4**12 * 16 < 64 * 2**20
 
 
 @settings(max_examples=200, deadline=None)

@@ -4,7 +4,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from minqc import synth
@@ -61,19 +61,28 @@ def words_in_scan_order(gens, max_len):
 
 def scan_distances(products, target):
     """Phase-blind distances by the closed form sqrt(|p|^2 + |t|^2 -
-    2|tr(p^dag t)|), minimal over phase and accurate to ~1e-8, ample at
-    epsilon ~ 0.3."""
+    2|tr(p^dag t)|), minimal over phase.  Rounding of ~1e-14 under the
+    square root leaves an error of about 1e-14/d at distance d, and up to
+    ~1e-7 near d = 0: ample to pick the words within epsilon >= 0.05, not to
+    give a near-exact hit's distance."""
     overlap = np.abs(np.einsum("nij,ij->n", products.conj(), target))
     return np.sqrt(np.maximum(0.0, 4.0 - 2.0 * overlap))
 
 
+def aligned_frobenius(p, target):
+    """min over alpha of ||p - e^{i alpha} target||_F, exact to rounding: the
+    target is turned to the phase of <target, p>, the optimum, and subtracted."""
+    overlap = np.vdot(target, p)
+    phase = overlap / abs(overlap) if abs(overlap) > 0 else 1.0
+    return float(np.linalg.norm(p - phase * target))
+
+
 def first_hit_oracle(words, products, target, epsilon):
-    """First scanned word within epsilon of the target, or None."""
-    dists = scan_distances(products, target)
-    hits = np.flatnonzero(dists < epsilon)
+    """First scanned word within epsilon of the target and its distance, or None."""
+    hits = np.flatnonzero(scan_distances(products, target) < epsilon)
     if len(hits) == 0:
         return None
-    return words[hits[0]], float(dists[hits[0]])
+    return words[hits[0]], aligned_frobenius(products[hits[0]], target)
 
 
 def test_product_angles_of_the_h_tht_pair():
@@ -234,12 +243,21 @@ def synthesis_cases(draw):
     return gens, target, epsilon, draw(st.integers(0, 10))
 
 
+def exact_hit_case():
+    """A Haar pair and the product of one of its words: ``synthesize`` finds
+    the word at distance 1.3e-16, where the closed form reads 1.15e-7."""
+    rng = np.random.default_rng(521170865)
+    gens = (random_unitary(2, rng), random_unitary(2, rng))
+    return gens, word_product((0, 0, 0, 1, 0, 1, 0), *gens), 0.125, 7
+
+
 @settings(max_examples=80, deadline=None)
 @given(synthesis_cases())
+@example(case=exact_hit_case())
 def test_synthesize_matches_brute_force_scan(case):
     gens, target, epsilon, max_len = case
     words, products = words_in_scan_order(gens, max_len)
-    # the oracle's closed form is accurate to ~1e-8: skip draws with a word at the threshold
+    # the closed form is accurate to ~1e-12 at epsilon >= 0.05: skip draws with a word at the threshold
     assume(not np.any(np.abs(scan_distances(products, target) - epsilon) < 1e-6))
     expected = first_hit_oracle(words, products, target, epsilon)
     if expected is None:
