@@ -51,6 +51,8 @@ CLI_CASES = [
     ["synth", "--gens", "Z,T", "--target", "X", "--eps", "1e-17", "--max-len", "300"],
     ["synth", "--gens", "H,THT", "--target", "random", "--eps", "0.05", "--max-len", "44", "--seed", "3"],
     ["synth", "--gens", "random,random", "--target", "random", "--eps", "0.2", "--max-len", "14", "--seed", "5"],
+    ["synth", "--gens", "T,HT", "--target", "random", "--eps", "1e-16", "--max-len", "24", "--seed", "1"],
+    ["synth", "--gens", "Z,T", "--target", "X", "--eps", "1e-16", "--max-len", "2000"],
 ]
 
 
@@ -93,6 +95,15 @@ def synthesis_cases() -> None:
     for epsilon, max_len in ((0.2, 14), (1e-9, 22)):
         emit(f"synthesize 20 random pairs at {epsilon:g}, max_len {max_len}", "ok",
              *(word_outcome(*triple, epsilon, max_len) for triple in triples))
+    # word-reachable targets at tiny epsilon: 13 pairs x 6 targets x 4 epsilons
+    rng = np.random.default_rng(19)
+    pairs = [tuple(parse_gate_spec(g) for g in pair.split(",")) for pair in ("H,THT", "T,HT", "H,TT")]
+    pairs += [(random_unitary(2, rng), random_unitary(2, rng)) for _ in range(10)]
+    reachable = [(pair, synth.word_product(rng.integers(0, 2, size=rng.integers(0, 15)), *pair))
+                 for pair in pairs for _ in range(6)]
+    emit("synthesize 78 word-reachable targets at 1e-9 .. 1e-15, max_len 14", "ok",
+         *(word_outcome(*pair, target, epsilon, 14) for pair, target in reachable
+           for epsilon in (1e-9, 1e-11, 1e-13, 1e-15)))
     for pair in ("H,THT", "T,HT"):
         g0, g1 = (parse_gate_spec(g) for g in pair.split(","))
         for depth in (0, 8, 16):

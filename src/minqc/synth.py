@@ -207,9 +207,10 @@ def word_product(bits, g0: np.ndarray, g1: np.ndarray) -> np.ndarray:
 
 
 class _Level(NamedTuple):
-    """Distinct products of one word length: lex-first words and their arrays."""
+    """Distinct products of one word length, in the lex order of their lex-first words."""
 
-    bits: list[tuple[int, ...]]
+    parents: np.ndarray  # (N,): the row of the word's first m - 1 letters in level m - 1
+    letters: np.ndarray  # (N,): the word's last letter
     products: np.ndarray  # (N, 2, 2)
     quats: np.ndarray  # (N, 4), from _quaternions
 
@@ -218,10 +219,8 @@ class _Level(NamedTuple):
 # exhaust memory: building level 18 of a Haar-random pair peaks at 247 MB RSS
 # (x86_64, numpy 2.4).  No level that could exceed this size is built.
 _MAX_LEVEL_PRODUCTS = 1 << 18
-# Products whose projective quaternions agree within this tolerance are one product.
+# Products whose projective quaternions agree within this tolerance are one product, at every epsilon.
 _DEDUP_ATOL = 1e-10
-# Dedup keys are quaternion entries (|q| <= 1) over the tolerance: at this floor they fit in int64.
-_MIN_DEDUP_ATOL = 1e-18
 
 
 class _WordLevels:
@@ -230,29 +229,28 @@ class _WordLevels:
     Level m holds the products of length-m words that no shorter word has,
     each tagged with the lexicographically first word producing it.
     Products merge only when their projective quaternions agree within
-    ``dedup_atol``, so the lex-minimal candidate at any search level is
-    preserved.  Each level is the generators times the one before, so once a
-    level is empty every later one is too.
+    ``_DEDUP_ATOL``.  Built parent-major, letter 0 first, the rows run in lex
+    word order (:func:`synthesize` relies on it).  Each level is the
+    generators times the one before, so once one is empty all later ones are.
     """
 
-    def __init__(self, g0: np.ndarray, g1: np.ndarray, dedup_atol: float):
+    def __init__(self, g0: np.ndarray, g1: np.ndarray):
         self.gens = np.array([g0, g1], dtype=complex)
-        self.dedup_atol = dedup_atol
         identity = np.eye(2, dtype=complex)[None]
-        self.levels = [_Level([()], identity, _quaternions(identity))]
+        self.levels = [_Level(None, None, identity, _quaternions(identity))]
         self.seen_keys = self._keys(self.levels[0].quats)  # distinct, over all levels built
 
     def _keys(self, quats: np.ndarray) -> np.ndarray:
-        return np.round(quats / self.dedup_atol).astype(np.int64)
+        return np.round(quats / _DEDUP_ATOL).astype(np.int64)
 
     def level(self, m: int) -> _Level:
         """Level m, built on demand; raises :class:`SearchExhausted` rather
         than build a level that could hold more than ``_MAX_LEVEL_PRODUCTS``."""
         while len(self.levels) <= m:
             last = self.levels[-1]
-            if 2 * len(last.bits) > _MAX_LEVEL_PRODUCTS:
+            if 2 * len(last.products) > _MAX_LEVEL_PRODUCTS:
                 raise SearchExhausted(
-                    f"level {len(self.levels)} could hold {2 * len(last.bits)} products, "
+                    f"level {len(self.levels)} could hold {2 * len(last.products)} products, "
                     f"above the cap of {_MAX_LEVEL_PRODUCTS}"
                 )
             # row 2i + k is gens[k] @ last.products[i]: parents in order, letter 0 first
@@ -264,9 +262,16 @@ class _WordLevels:
                 np.concatenate([self.seen_keys, self._keys(quats)]), axis=0, return_index=True
             )
             keep = np.sort(first[first >= n_seen]) - n_seen
-            bits = [last.bits[i // 2] + (int(i % 2),) for i in keep]
-            self.levels.append(_Level(bits, products[keep], quats[keep]))
+            self.levels.append(_Level(keep // 2, keep % 2, products[keep], quats[keep]))
         return self.levels[m]
+
+    def word(self, m: int, row: int) -> tuple[int, ...]:
+        """The word of row ``row`` of level m, spelled out through its parent rows."""
+        letters = []
+        for level in self.levels[m:0:-1]:
+            letters.append(int(level.letters[row]))
+            row = level.parents[row]
+        return tuple(letters[::-1])
 
 
 # Level sets kept for reuse across calls.  Levels depend only on their key,
@@ -275,13 +280,13 @@ _LEVELS_CACHE_SIZE = 4
 
 
 @functools.lru_cache(maxsize=_LEVELS_CACHE_SIZE)
-def _cached_levels(g0: bytes, g1: bytes, dedup_atol: float) -> _WordLevels:
+def _cached_levels(g0: bytes, g1: bytes) -> _WordLevels:
     gens = [np.frombuffer(g, dtype=complex).reshape(2, 2) for g in (g0, g1)]
-    return _WordLevels(*gens, dedup_atol)
+    return _WordLevels(*gens)
 
 
-def _levels_for(g0: np.ndarray, g1: np.ndarray, dedup_atol: float = _DEDUP_ATOL) -> _WordLevels:
-    return _cached_levels(g0.tobytes(), g1.tobytes(), float(dedup_atol))
+def _levels_for(g0: np.ndarray, g1: np.ndarray) -> _WordLevels:
+    return _cached_levels(g0.tobytes(), g1.tobytes())
 
 
 # Slack on the overlap prefilter.  It sits far above the rounding and the
@@ -292,7 +297,8 @@ _MATCH_BLOCK = 1 << 20  # overlap-matrix entries computed at once
 
 
 def _overlapping_pairs(queries: np.ndarray, points: np.ndarray, min_overlap: float):
-    """Index pairs (j, i) with |<queries[j], points[i]>| >= min_overlap."""
+    """Index pairs (j, i) with |<queries[j], points[i]>| >= min_overlap, by j
+    then by i: this row-major order is :func:`synthesize`'s lex tie-break."""
     rows = max(1, _MATCH_BLOCK // len(points))
     for start in range(0, len(queries), rows):
         j, i = np.nonzero(np.abs(queries[start:start + rows] @ points.T) >= min_overlap)
@@ -315,8 +321,9 @@ def synthesize(
     pulled-back target s^dag t finds all pairs within ``epsilon``.  That
     prefilter keeps a small margin, since the overlap form cancels at tiny
     ``epsilon``; each pair it passes is re-checked exactly with
-    :func:`dist_phase`.  Ties at the minimal length break lexicographically
-    (0 before 1), so the result is deterministic.
+    :func:`dist_phase`.  Level rows are in lex word order, so the first
+    (prefix, suffix) pair in row-major order to pass is the lex-first word
+    (0 before 1) of minimal length: the result is deterministic.
     """
     g0 = require_unitary(g0, "g0")
     g1 = require_unitary(g1, "g1")
@@ -324,7 +331,7 @@ def synthesize(
     if not 0 < epsilon < math.inf:
         raise ValueError("epsilon must be positive and finite")
 
-    levels = _levels_for(g0, g1, dedup_atol=max(min(_DEDUP_ATOL, epsilon / 10), _MIN_DEDUP_ATOL))
+    levels = _levels_for(g0, g1)
     min_overlap = 1 - epsilon**2 / 4 - _OVERLAP_MARGIN
     for n in range(max_len + 1):
         try:
@@ -334,17 +341,13 @@ def synthesize(
             raise SearchExhausted(
                 f"no word of length <= {n - 1} within {epsilon:g} of the target; length {n}: {exc}"
             ) from None
-        if not prefixes.bits:
+        if not len(prefixes.products):
             break  # every word of length >= n has the product of a shorter word, already searched
         pulled_back = _quaternions(suffixes.products.conj().transpose(0, 2, 1) @ target)
-        candidates: list[tuple[tuple[int, ...], float]] = []
-        for j, i in _overlapping_pairs(pulled_back, prefixes.quats, min_overlap):
+        for i, j in _overlapping_pairs(prefixes.quats, pulled_back, min_overlap):
             dist = dist_phase(suffixes.products[j] @ prefixes.products[i], target)
             if dist < epsilon:
-                candidates.append((prefixes.bits[i] + suffixes.bits[j], dist))
-        if candidates:
-            bits, dist = min(candidates)
-            return GateWord(bits, dist)
+                return GateWord(levels.word((n + 1) // 2, i) + levels.word(n // 2, j), dist)
     raise SearchExhausted(
         f"no word of length <= {max_len} within {epsilon:g} of the target"
     )

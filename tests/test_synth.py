@@ -1,6 +1,7 @@
 import itertools
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -275,7 +276,7 @@ def test_levels_keep_the_words_whose_product_is_new_at_their_length(pair):
     if isinstance(pair, int):
         rng = np.random.default_rng(pair)
         pair = (random_unitary(2, rng), random_unitary(2, rng))
-    levels = synth._WordLevels(*pair, synth._DEDUP_ATOL)
+    levels = synth._WordLevels(*pair)
     words, products = words_in_scan_order(pair, 8)
     keys = levels._keys(synth._quaternions(products))
     seen = set()
@@ -287,24 +288,22 @@ def test_levels_keep_the_words_whose_product_is_new_at_their_length(pair):
     for m in range(9):
         expected = [index for index in new_at if len(words[index]) == m]
         level = levels.level(m)
-        assert level.bits == [words[index] for index in expected]
+        assert [levels.word(m, row) for row in range(len(level.products))] == [words[index] for index in expected]
         # the scan's letter-by-letter products may differ from the batched ones in the last bits
         assert np.allclose(level.products, products[expected], rtol=0, atol=1e-14)
 
 
 def test_tiny_epsilon_search_over_a_finite_group_pair_stays_small():
-    # below epsilon ~ 1e-15 the dedup keys sit at the products' rounding, so
-    # the levels never empty, but dropping every product a shorter word has
-    # keeps each one small
+    # the dedup tolerance does not follow epsilon down to the products'
+    # rounding, so the levels of a finite group empty and the search stops
     synth._cached_levels.cache_clear()
     start = time.perf_counter()
     with pytest.raises(SearchExhausted) as exc:
-        synthesize(Z, t_gate(), X, 1e-16, max_len=1000)
+        synthesize(Z, t_gate(), X, 1e-16, max_len=40_000)
     assert time.perf_counter() - start < 1.0
-    assert str(exc.value) == "no word of length <= 1000 within 1e-16 of the target"
-    levels = synth._levels_for(Z, t_gate(), 1e-16 / 10)  # the search's dedup tolerance
-    assert len(levels.levels) == 501
-    assert max(len(level.bits) for level in levels.levels) <= 8
+    assert str(exc.value) == "no word of length <= 40000 within 1e-16 of the target"
+    levels = synth._levels_for(Z, t_gate()).levels
+    assert len(levels) <= 9 and len(levels[-1].products) == 0
 
 
 @pytest.mark.parametrize("epsilon", [0.0, math.nan, math.inf, -1.0])
@@ -315,17 +314,23 @@ def test_synthesize_rejects_bad_epsilon(epsilon):
 
 @pytest.mark.parametrize("epsilon", [1e-17, 1e-100, 1e-300, 5e-324])
 def test_synthesize_at_tiny_epsilon_keeps_the_levels_distinct(epsilon):
-    # the dedup keys are quaternions over the dedup tolerance, cast to int64
+    # an exact hit, found at every epsilon: the dedup tolerance does not follow epsilon
     g0, g1 = hadamard(), t_gate() @ hadamard() @ t_gate()
     word = synthesize(g0, g1, word_product((1, 0, 1), g0, g1), epsilon, 12)
     assert word.bits == (1, 0, 1) and word.distance == 0.0
 
 
 def test_level_cache_is_bounded():
-    # each epsilon below 1e-9 sets its own dedup tolerance, hence its own levels
+    # the levels depend on the generators alone, so every epsilon shares one level set
     g0, g1 = t_gate(), hadamard() @ t_gate()
+    synth._cached_levels.cache_clear()
+    for epsilon in (0.1, 1e-9, 1e-12, 1e-16):
+        assert synthesize(g0, g1, g1, epsilon).bits == (1,)
+    assert synth._cached_levels.cache_info().currsize == 1
     for k in range(10, 15):
         assert synthesize(g0, g1, g1, 10.0**-k).bits == (1,)
+    for k in range(5):  # more generator pairs than the cache holds
+        density_probe(g0, phase_gate(k + 0.5), 2, samples=1)
     info = synth._cached_levels.cache_info()
     assert info.maxsize == synth._LEVELS_CACHE_SIZE < 5
     assert info.currsize <= info.maxsize
@@ -340,9 +345,21 @@ def test_level_cap_exhausts_the_search_before_building_a_larger_level(monkeypatc
         # a generic pair doubles each level, so level 4 would hold 16 products
         with pytest.raises(SearchExhausted, match=r"length <= 6 .* length 7: level 4 could hold 16 products"):
             synthesize(g0, g1, target, 1e-9, max_len=44)
-        assert [len(level.bits) for level in synth._levels_for(g0, g1).levels] == [1, 2, 4, 8]
+        assert [len(level.products) for level in synth._levels_for(g0, g1).levels] == [1, 2, 4, 8]
     finally:
         synth._cached_levels.cache_clear()
+
+
+def test_commuting_incommensurate_pair_search_stays_small_in_memory():
+    # level m holds m + 1 new products; each keeps its word as a parent row and a letter
+    tracemalloc.start()
+    try:
+        with pytest.raises(SearchExhausted):
+            synthesize(phase_gate(1.0), phase_gate(np.sqrt(2)), X, 0.01, 400)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 def test_synthesize_recovers_reachable_targets():
