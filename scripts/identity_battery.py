@@ -13,7 +13,7 @@ words a library call returns.  Run it once per tree and diff the outputs:
 An empty diff means every report byte but ``wall_time_s``, every exit code
 and every returned array is unchanged.  Run both on one host: BLAS may round
 differently on another machine.  ``random_schedule`` comes from this
-checkout's ``perfbench/workloads.py``.  The whole battery takes about 6 s
+checkout's ``perfbench/workloads.py``.  The whole battery takes about 5 s
 on a 2-core x86_64 host.
 """
 from __future__ import annotations
@@ -53,6 +53,7 @@ CLI_CASES = [
     ["synth", "--gens", "random,random", "--target", "random", "--eps", "0.2", "--max-len", "14", "--seed", "5"],
     ["synth", "--gens", "T,HT", "--target", "random", "--eps", "1e-16", "--max-len", "24", "--seed", "1"],
     ["synth", "--gens", "Z,T", "--target", "X", "--eps", "1e-16", "--max-len", "2000"],
+    ["synth", "--gens", "R(1),R(1.4142135623730951)", "--target", "X", "--eps", "0.01", "--max-len", "600"],
 ]
 
 
@@ -110,6 +111,23 @@ def synthesis_cases() -> None:
             emit(f"density_probe {pair} depth {depth}", "ok", synth.density_probe(g0, g1, depth).hex())
 
 
+def universality_cases() -> None:
+    named = [tuple(parse_gate_spec(g) for g in pair.split(","))
+             for pair in ("H,THT", "T,HT", "H,T", "X,Z", "H,TT", "Z,T", "X,X", "T,H", "HT,TH")]
+    # rational phase pairs: about one axis, and about the z and x axes
+    rational = [(parse_gate_spec(f"R({a!r})"), parse_gate_spec(f"{conj}R({b!r}){conj}"))
+                for a, b in ((np.pi / 4, np.pi / 3), (np.pi / 2, np.pi / 5), (2 * np.pi / 3, np.pi / 7))
+                for conj in ("", "H")]
+    same_axis = [tuple(parse_gate_spec(g) for g in pair) for pair in (("R(1)", "X"), ("R(1)", "R(1.4142135623730951)"))]
+    rng = np.random.default_rng(20)
+    haar = [(random_unitary(2, rng), random_unitary(2, rng)) for _ in range(20)]
+    reports = [synth.universality_diagnostic(*pair) for pair in named + rational + same_axis + haar]
+    emit(f"universality_diagnostic on {len(reports)} pairs", "ok",
+         *([getattr(r, f) for f in ("verdict", "rational_angle_flag")]
+           + [getattr(r, f).hex() for f in ("phi0", "phi1", "phi_plus", "phi_minus", "axis_angle_between")]
+           for r in reports))
+
+
 def run_outcome(schedule, overrides=None) -> tuple[str, list]:
     try:
         report = simulator.run(schedule, prep_overrides=overrides)
@@ -147,6 +165,7 @@ def main() -> int:
     finally:
         os.chdir(here)
     synthesis_cases()
+    universality_cases()
     simulator_cases()
     return 0
 

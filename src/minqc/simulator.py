@@ -68,9 +68,9 @@ class Schedule:
     steps: list[Step]
     interactions: dict[str, np.ndarray]
 
-    def validate(self) -> dict[str, int]:
+    def validate(self) -> tuple[dict[str, int], list[tuple[int, int, tuple[int, ...], int]]]:
         """Raise :class:`ScheduleInvalid` on a malformed schedule; return the
-        index of each ancilla's last step."""
+        index of each ancilla's last step and the schedule's :func:`_segments`."""
         if self.register_size < 1:
             raise ScheduleInvalid("register must hold at least one qubit")
         if self.register_size > MAX_REGISTER_QUBITS:
@@ -88,8 +88,9 @@ class Schedule:
             g = self.interactions[step.interaction]
             if g.shape != (4, 4):
                 raise ScheduleInvalid(f"interaction {step.interaction!r} is not a 4x4 matrix")
+        segments = _segments(self.steps, last_use)
         # the most ancillas live at once
-        peak = max((live - len(qubits) for _, _, qubits, live in _segments(self.steps, last_use)), default=0)
+        peak = max((live - len(qubits) for _, _, qubits, live in segments), default=0)
         if self.register_size + peak > MAX_LIVE_QUBITS:
             raise ScheduleInvalid(f"{self.register_size + peak} live qubits exceed the cap of {MAX_LIVE_QUBITS}")
         for ancilla, bit in self.preps.items():
@@ -97,7 +98,7 @@ class Schedule:
                 raise ScheduleInvalid(f"ancilla {ancilla!r} prepared in non-bit {bit!r}")
             if ancilla not in last_use:
                 raise ScheduleInvalid(f"ancilla {ancilla!r} prepared but never used")
-        return last_use
+        return last_use, segments
 
     def interaction_count(self) -> int:
         return len(self.steps)
@@ -142,13 +143,13 @@ def run(schedule: Schedule, prep_overrides: dict[str, np.ndarray] | None = None)
     override must name a prepared ancilla and be a 2-vector of positive,
     finite norm, else :class:`ScheduleInvalid` is raised.
     """
-    last_use = schedule.validate()
+    last_use, segments = schedule.validate()
     preps = _prep_states(schedule, prep_overrides or {})
     # the segments fill in the ancilla fields; the operator is composed last
     report = RunReport(np.empty((0, 0), dtype=complex), {}, {})
     operators = [
         (_run_segment(schedule, preps, last_use, report, start, stop, qubits, live_qubits), qubits)
-        for start, stop, qubits, live_qubits in _segments(schedule.steps, last_use)
+        for start, stop, qubits, live_qubits in segments
     ]
     report.register_unitary = _compose(operators, schedule.register_size)
     return report

@@ -8,7 +8,6 @@ to global phase throughout.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -138,51 +137,38 @@ def universality_diagnostic(g0: np.ndarray, g1: np.ndarray) -> UniversalityRepor
     """Heuristic verdict on whether words over {g0, g1} are dense in SU(2).
 
     A pair of rotations with angles that are plausibly irrational multiples
-    of pi about non-parallel axes certifies density.  The two generator
-    products are tried first; if they fail (their angles can be rational even
-    for universal pairs), all words up to a small depth are scanned for such
-    a witness pair.  Commuting generators share an axis and are rejected
-    outright.
+    of pi about non-parallel axes certifies density.  One scan looks for such
+    a witness pair among the products of all words up to a small depth: the
+    generators, g0 g1 and g1 g0 and the longer words alike (the product
+    angles can be rational even for universal pairs).  Commuting generators
+    share an axis and are rejected outright.
     """
     g0 = require_unitary(g0, "g0")
     g1 = require_unitary(g1, "g1")
     plus = axis_angle(g0 @ g1)
     minus = axis_angle(g1 @ g0)
-    between = _line_angle(plus.axis, minus.axis) if not (plus.degenerate or minus.degenerate) else 0.0
-    kinds = (_classify_angle_fraction(plus.phi / np.pi), _classify_angle_fraction(minus.phi / np.pi))
     report = dict(
         phi0=axis_angle(g0).phi,
         phi1=axis_angle(g1).phi,
         phi_plus=plus.phi,
         phi_minus=minus.phi,
-        axis_angle_between=between,
-        rational_angle_flag="rational" in kinds,
+        axis_angle_between=_line_angle(plus.axis, minus.axis) if not (plus.degenerate or minus.degenerate) else 0.0,
+        rational_angle_flag=any(_classify_angle_fraction(aa.phi / np.pi) == "rational" for aa in (plus, minus)),
     )
-
     if np.linalg.norm(g0 @ g1 - g1 @ g0) < 1e-10:
         return UniversalityReport(verdict=NOT_UNIVERSAL, **report)
 
-    if kinds == ("irrational", "irrational") and not plus.degenerate and not minus.degenerate \
-            and between > AXIS_PARALLEL_ATOL:
-        return UniversalityReport(verdict=PLAUSIBLY_UNIVERSAL, **report)
-
-    # Fallback witness scan over short words (includes the generators themselves).
-    witnesses: list[AxisAngle] = []
-    saw_boundary = "boundary" in kinds
+    # witness scan over short words: each product's angle and axis from its quaternion, as in axis_angle
     levels = _levels_for(g0, g1)
-    for product in np.concatenate([levels.level(m).products for m in range(1, _WITNESS_DEPTH + 1)]):
-        aa = axis_angle(product)
-        if aa.degenerate:
-            continue
-        kind = _classify_angle_fraction(aa.phi / np.pi)
-        if kind == "boundary":
-            saw_boundary = True
-        elif kind == "irrational":
-            witnesses.append(aa)
-    for a, b in itertools.combinations(witnesses, 2):
-        if _line_angle(a.axis, b.axis) > AXIS_PARALLEL_ATOL:
-            return UniversalityReport(verdict=PLAUSIBLY_UNIVERSAL, **report)
-    verdict = INCONCLUSIVE if (saw_boundary or witnesses) else NOT_UNIVERSAL
+    quats = np.concatenate([levels.level(m).quats for m in range(1, _WITNESS_DEPTH + 1)])
+    phis = np.arccos(np.minimum(np.abs(quats[:, 0]), 1.0))
+    # a degenerate product (sin phi < 1e-9, no axis) has phi / pi < 1e-9: a rational angle, never a witness
+    kinds = [_classify_angle_fraction(phi / np.pi) for phi in phis]
+    axes = quats[[kind == "irrational" for kind in kinds], 1:]
+    axes /= np.linalg.norm(axes, axis=1)[:, None]
+    if np.any(np.arccos(np.clip(np.abs(axes @ axes.T), 0.0, 1.0)) > AXIS_PARALLEL_ATOL):
+        return UniversalityReport(verdict=PLAUSIBLY_UNIVERSAL, **report)
+    verdict = INCONCLUSIVE if ("boundary" in kinds or len(axes)) else NOT_UNIVERSAL
     return UniversalityReport(verdict=verdict, **report)
 
 
@@ -216,9 +202,13 @@ class _Level(NamedTuple):
 
 
 # A generic pair has 2^m distinct products at level m, so a long search would
-# exhaust memory: building level 18 of a Haar-random pair peaks at 247 MB RSS
+# exhaust memory: building levels 0..18 of a Haar-random pair peaks at 187 MB RSS
 # (x86_64, numpy 2.4).  No level that could exceed this size is built.
 _MAX_LEVEL_PRODUCTS = 1 << 18
+# A pair whose levels grow polynomially never meets that cap, so the products
+# held over all levels are bounded too: a doubling pair holds 2^19 - 1 at the
+# level cap, well within it.
+_MAX_HELD_PRODUCTS = 1 << 20
 # Products whose projective quaternions agree within this tolerance are one product, at every epsilon.
 _DEDUP_ATOL = 1e-10
 
@@ -229,39 +219,47 @@ class _WordLevels:
     Level m holds the products of length-m words that no shorter word has,
     each tagged with the lexicographically first word producing it.
     Products merge only when their projective quaternions agree within
-    ``_DEDUP_ATOL``.  Built parent-major, letter 0 first, the rows run in lex
-    word order (:func:`synthesize` relies on it).  Each level is the
-    generators times the one before, so once one is empty all later ones are.
+    ``_DEDUP_ATOL``: a row is kept when its rounded quaternion, its key, is
+    not yet in ``seen``, the keys of every product held.  Built parent-major,
+    letter 0 first, the rows run in lex word order (:func:`synthesize` relies
+    on it).  Each level is the generators times the one before, so once one
+    is empty all later ones are.
     """
 
     def __init__(self, g0: np.ndarray, g1: np.ndarray):
         self.gens = np.array([g0, g1], dtype=complex)
         identity = np.eye(2, dtype=complex)[None]
         self.levels = [_Level(None, None, identity, _quaternions(identity))]
-        self.seen_keys = self._keys(self.levels[0].quats)  # distinct, over all levels built
+        self.seen = set(self._keys(self.levels[0].quats))  # probed, never iterated
 
-    def _keys(self, quats: np.ndarray) -> np.ndarray:
-        return np.round(quats / _DEDUP_ATOL).astype(np.int64)
+    def _keys(self, quats: np.ndarray) -> list[bytes]:
+        return np.round(quats / _DEDUP_ATOL).astype(np.int64).view("V32").ravel().tolist()
 
     def level(self, m: int) -> _Level:
         """Level m, built on demand; raises :class:`SearchExhausted` rather
-        than build a level that could hold more than ``_MAX_LEVEL_PRODUCTS``."""
+        than build a level that could hold more than ``_MAX_LEVEL_PRODUCTS``
+        or bring the products held above ``_MAX_HELD_PRODUCTS``."""
         while len(self.levels) <= m:
             last = self.levels[-1]
-            if 2 * len(last.products) > _MAX_LEVEL_PRODUCTS:
+            most = 2 * len(last.products)
+            if most > _MAX_LEVEL_PRODUCTS:
                 raise SearchExhausted(
-                    f"level {len(self.levels)} could hold {2 * len(last.products)} products, "
-                    f"above the cap of {_MAX_LEVEL_PRODUCTS}"
+                    f"level {len(self.levels)} could hold {most} products, above the cap of {_MAX_LEVEL_PRODUCTS}"
+                )
+            if len(self.seen) + most > _MAX_HELD_PRODUCTS:
+                raise SearchExhausted(
+                    f"level {len(self.levels)} could bring the products held to {len(self.seen) + most}, "
+                    f"above the bound of {_MAX_HELD_PRODUCTS}"
                 )
             # row 2i + k is gens[k] @ last.products[i]: parents in order, letter 0 first
             products = (self.gens[None] @ last.products[:, None]).reshape(-1, 2, 2)
             quats = _quaternions(products)
-            # the shorter levels' keys come first, so a row is kept only at its key's first occurrence
-            n_seen = len(self.seen_keys)
-            self.seen_keys, first = np.unique(
-                np.concatenate([self.seen_keys, self._keys(quats)]), axis=0, return_index=True
-            )
-            keep = np.sort(first[first >= n_seen]) - n_seen
+            keep = []  # the rows whose key first appears here, in row order
+            for row, key in enumerate(self._keys(quats)):
+                if key not in self.seen:
+                    self.seen.add(key)
+                    keep.append(row)
+            keep = np.array(keep, dtype=np.int64)
             self.levels.append(_Level(keep // 2, keep % 2, products[keep], quats[keep]))
         return self.levels[m]
 

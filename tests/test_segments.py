@@ -12,6 +12,7 @@ reference runs them one at a time, as 1-D statevectors, and must give the
 same bits, messages and warnings.
 """
 import tracemalloc
+from importlib import resources
 from unittest import mock
 
 import numpy as np
@@ -148,10 +149,10 @@ def one_input_at_a_time(schedule: Schedule, overrides):
     the rejection message of the lowest failing input at its first failing
     step.
     """
-    last_use = schedule.validate()
+    last_use, segments = schedule.validate()
     preps = simulator._prep_states(schedule, overrides)
     exits, deficits, warnings, operators = {}, {}, [], []
-    for start, stop, qubits, _ in simulator._segments(schedule.steps, last_use):
+    for start, stop, qubits, _ in segments:
         local = {q: j for j, q in enumerate(qubits)}
         operator = np.empty((2 ** len(qubits),) * 2, dtype=complex)
         deficits.update({a: 0.0 for a in schedule.preps if start <= last_use[a] < stop})
@@ -209,7 +210,7 @@ def test_stacked_inputs_match_one_input_at_a_time(drawn, slack):
     # segments' stacks into runs of 2^slack inputs
     schedule, overrides = drawn
     expected = one_input_at_a_time(schedule, overrides)
-    segments = simulator._segments(schedule.steps, schedule.validate())
+    _, segments = schedule.validate()
     peak = max(live - len(qubits) for _, _, qubits, live in segments)
     with mock.patch.object(simulator, "MAX_LIVE_QUBITS", schedule.register_size + peak + slack):
         if isinstance(expected, str):
@@ -338,3 +339,11 @@ INT swap_plain 2 c
     assert dist_phase(report.register_unitary, unitary) <= 1e-12
     for name, chi in exits.items():
         assert abs(abs(np.vdot(chi, report.ancilla_exit_states[name])) - 1.0) <= 1e-12
+
+
+def test_run_derives_the_segments_once():
+    # validation needs the segments for its live-qubit cap; run reuses them
+    schedule = schedule_from_text((resources.files("minqc") / "data" / "sct_two_qubit.sched").read_text(), INTERACTIONS)
+    with mock.patch.object(simulator, "_segments", wraps=simulator._segments) as segments:
+        run(schedule)
+    assert segments.call_count == 1

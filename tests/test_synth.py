@@ -163,6 +163,59 @@ def test_diagnostic_finite_projective_group():
     assert universality_diagnostic(X, Z).verdict in (NOT_UNIVERSAL, INCONCLUSIVE)
 
 
+def reference_verdict(g0, g1):
+    """The verdict of the two-product test, then a per-product ``axis_angle``
+    scan over the word levels 1..6."""
+    def kind(phi):
+        _, err = best_rational(phi / np.pi)
+        return "rational" if err < 1e-9 else "boundary" if err < 1e-8 else "irrational"
+
+    def line(a, b):
+        return np.arccos(np.clip(abs(np.dot(a.axis, b.axis)), 0.0, 1.0))
+
+    if np.linalg.norm(g0 @ g1 - g1 @ g0) < 1e-10:
+        return NOT_UNIVERSAL
+    plus, minus = axis_angle(g0 @ g1), axis_angle(g1 @ g0)
+    kinds = [kind(plus.phi), kind(minus.phi)]
+    if kinds == ["irrational"] * 2 and not (plus.degenerate or minus.degenerate) and line(plus, minus) > 1e-6:
+        return PLAUSIBLY_UNIVERSAL
+    # the levels, not every word: a product that rounds near the identity can read as a "boundary" angle
+    levels = synth._WordLevels(g0, g1)
+    products = np.concatenate([levels.level(m).products for m in range(1, 7)])
+    rotations = [aa for aa in map(axis_angle, products) if not aa.degenerate]
+    kinds += [kind(aa.phi) for aa in rotations]
+    witnesses = [aa for aa in rotations if kind(aa.phi) == "irrational"]
+    if any(line(a, b) > 1e-6 for a, b in itertools.combinations(witnesses, 2)):
+        return PLAUSIBLY_UNIVERSAL
+    return INCONCLUSIVE if "boundary" in kinds or witnesses else NOT_UNIVERSAL
+
+
+@st.composite
+def diagnostic_pairs(draw):
+    """A Haar pair, a finite-group pair, two rational phase gates R(pi p/q)
+    (the second about x when conjugated by H), or an R(angle) with X."""
+    kind = draw(st.sampled_from(["haar", "finite", "rational", "same-axis"]))
+    if kind == "haar":
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        return random_unitary(2, rng), random_unitary(2, rng)
+    if kind == "finite":
+        return draw(st.sampled_from(FINITE_PAIRS))
+    if kind == "same-axis":
+        return phase_gate(draw(st.floats(0.1, 3.0))), X
+    p0, p1 = draw(st.integers(1, 15)), draw(st.integers(1, 15))
+    q0, q1 = draw(st.integers(1, 16)), draw(st.integers(1, 16))
+    g1 = phase_gate(np.pi * p1 / q1)
+    return phase_gate(np.pi * p0 / q0), hadamard() @ g1 @ hadamard() if draw(st.booleans()) else g1
+
+
+@settings(max_examples=150, deadline=None)
+@given(diagnostic_pairs())
+@example(pair=(phase_gate(1.0), X))
+@example(pair=(t_gate(), hadamard() @ t_gate()))
+def test_diagnostic_verdict_matches_the_per_product_reference(pair):
+    assert universality_diagnostic(*pair).verdict == reference_verdict(*pair)
+
+
 def test_word_product_application_order():
     g0, g1 = t_gate(), hadamard() @ t_gate()
     np.testing.assert_allclose(word_product((0, 1), g0, g1), g1 @ g0, atol=0)
@@ -348,6 +401,30 @@ def test_level_cap_exhausts_the_search_before_building_a_larger_level(monkeypatc
         assert [len(level.products) for level in synth._levels_for(g0, g1).levels] == [1, 2, 4, 8]
     finally:
         synth._cached_levels.cache_clear()
+
+
+def test_held_products_bound_exhausts_a_polynomially_growing_pair(monkeypatch):
+    # level m - 1 of this commuting pair holds m products, far below the level cap,
+    # so only the bound on the products held over all levels stops its search
+    monkeypatch.setattr(synth, "_MAX_HELD_PRODUCTS", 64)
+    synth._cached_levels.cache_clear()
+    try:
+        g0, g1 = phase_gate(1.0), phase_gate(np.sqrt(2))
+        # levels 0..9 hold 55 products, and level 10 could add 20
+        with pytest.raises(SearchExhausted, match=r"length <= 18 .* length 19: level 10 could bring "
+                                                  r"the products held to 75, above the bound of 64"):
+            synthesize(g0, g1, X, 0.01, max_len=1000)
+        assert [len(level.products) for level in synth._levels_for(g0, g1).levels] == list(range(1, 11))
+    finally:
+        synth._cached_levels.cache_clear()
+
+
+def test_commuting_incommensurate_pair_levels_build_without_resorting_the_keys():
+    # each level dedups against one growing key set, not against a re-sort of every key seen
+    start = time.perf_counter()
+    levels = synth._WordLevels(phase_gate(1.0), phase_gate(np.sqrt(2)))
+    assert len(levels.level(600).products) == 601
+    assert time.perf_counter() - start < 2.0
 
 
 def test_commuting_incommensurate_pair_search_stays_small_in_memory():
