@@ -109,6 +109,19 @@ def synthesis_cases() -> None:
         g0, g1 = (parse_gate_spec(g) for g in pair.split(","))
         for depth in (0, 8, 16):
             emit(f"density_probe {pair} depth {depth}", "ok", synth.density_probe(g0, g1, depth).hex())
+    rng = np.random.default_rng(14)
+    g0, g1 = random_unitary(2, rng), random_unitary(2, rng)
+    for depth in (8, 12):
+        emit(f"density_probe Haar pair depth {depth}", "ok", synth.density_probe(g0, g1, depth).hex())
+
+
+def axis_angle_cases() -> None:
+    h, t, tht = (parse_gate_spec(g) for g in ("H", "T", "THT"))
+    rng = np.random.default_rng(21)
+    gates = [random_unitary(2, rng) for _ in range(200)] + [h @ tht, tht @ h, t, h @ t, np.eye(2, dtype=complex)]
+    forms = [synth.axis_angle(g) for g in gates]
+    emit(f"axis_angle on {len(forms)} gates", "ok",
+         *([aa.phi.hex(), [float(n).hex() for n in aa.axis], aa.global_phase.hex(), aa.degenerate] for aa in forms))
 
 
 def universality_cases() -> None:
@@ -165,6 +178,7 @@ def main() -> int:
     finally:
         os.chdir(here)
     synthesis_cases()
+    axis_angle_cases()
     universality_cases()
     simulator_cases()
     return 0

@@ -106,17 +106,24 @@ def load_matrix_file(path: str) -> np.ndarray:
 
 
 def parse_gate_spec(spec: str, rng: np.random.Generator | None = None) -> np.ndarray:
-    """Resolve a gate given as expression, matrix literal, file path, or 'random'."""
+    """Resolve a gate given as 'random', matrix literal, expression or file path.
+
+    A spec that parses as an expression is that expression: a file is read
+    only when the spec is not one, so a file named ``T`` never shadows T.
+    """
     if spec == "random":
         if rng is None:
             raise ValueError("'random' gate requested without a seeded generator")
         return random_unitary(2, rng)
     if "," in spec:
         matrix = parse_matrix_literal(spec)
-    elif os.path.exists(spec):
-        matrix = load_matrix_file(spec)
     else:
-        return parse_gate_expr(spec)
+        try:
+            return parse_gate_expr(spec)
+        except ValueError:
+            if not os.path.exists(spec):
+                raise
+        matrix = load_matrix_file(spec)
     if not np.isfinite(matrix).all():
         raise ValueError(f"gate {spec!r} has a non-finite entry")
     return matrix

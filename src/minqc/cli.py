@@ -486,7 +486,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_synth = sub.add_parser("synth", help="find a generator word for a target gate")
     p_synth.add_argument("--gens", required=True, help="two gate expressions, comma separated (e.g. T,HT)")
-    p_synth.add_argument("--target", required=True, help="gate expression, matrix literal, file, or 'random'")
+    p_synth.add_argument("--target", required=True, help="gate expression, matrix literal, 'random', or a file path "
+                         "(read only when the spec is not a gate expression, so ./T names a file, T the gate)")
     p_synth.add_argument("--eps", type=float, required=True, help="target accuracy (phase-insensitive)")
     p_synth.add_argument("--max-len", type=_nonnegative_int, default=synth.DEFAULT_MAX_WORD_LEN)
     p_synth.add_argument("--seed", type=_nonnegative_int, default=0)
@@ -494,7 +495,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_schedule = sub.add_parser("schedule", help="simulate a schedule file and compare to a claimed gate")
     p_schedule.add_argument("file", help="schedule file (REGISTER/PREP/INT lines)")
-    p_schedule.add_argument("--claimed", required=True, help="gate expression, matrix literal, or file")
+    p_schedule.add_argument("--claimed", required=True, help="gate expression, matrix literal, or a file path "
+                            "(read only when the spec is not a gate expression, so ./T names a file, T the gate)")
     p_schedule.add_argument("--tol", type=float, default=None, help="tolerance (default: MINQC_TOL or 1e-9)")
     p_schedule.set_defaults(func=cmd_schedule)
     return parser

@@ -87,24 +87,3 @@ def param_u2(eta: float, phi: float, psi: float, theta: float) -> np.ndarray:
         ],
         dtype=complex,
     )
-
-
-def param_u2_angles(m: np.ndarray) -> tuple[float, float, float, float]:
-    """Invert :func:`param_u2`: recover (eta, phi, psi, theta) for any unitary.
-
-    Branch cuts: theta is taken in [0, pi/2]; at the degenerate points
-    psi := 0 when sin(theta) = 0 and phi := 0 when cos(theta) = 0 (the
-    parametrization is not unique there).  eta is fixed up to pi by the
-    determinant; the branch reproducing ``m`` (not ``-m``) is selected.
-    """
-    m = require_unitary(m, "m")
-    theta = float(np.arctan2(abs(m[1, 0]), abs(m[0, 0])))
-    det = np.linalg.det(m)
-    eta = float(np.angle(-det) / 2)
-    for candidate in (eta, eta + np.pi):
-        ph = np.exp(-1j * candidate)
-        phi = float(np.angle(m[0, 0] * ph)) if abs(m[0, 0]) > 1e-12 else 0.0
-        psi = float(np.angle(m[1, 0] * ph)) if abs(m[1, 0]) > 1e-12 else 0.0
-        if np.linalg.norm(param_u2(candidate, phi, psi, theta) - m) < 1e-8:
-            return candidate, phi, psi, theta
-    return eta, phi, psi, theta

@@ -115,12 +115,6 @@ class RunReport:
     warnings: list[str] = field(default_factory=list)
     residuals: dict[str, float] = field(default_factory=dict)
 
-    @property
-    def unitarity_residual(self) -> float:
-        """||U^dag U - I||_F of the register operator, computed on access (a 2^3n product)."""
-        u = self.register_unitary
-        return float(np.linalg.norm(u.conj().T @ u - np.eye(len(u))))
-
 
 def _canonical_phase(v: np.ndarray) -> np.ndarray:
     pivot = v[int(np.argmax(np.abs(v)))]

@@ -45,34 +45,36 @@ class AxisAngle:
     degenerate: bool
 
 
-def _su2_representative(g: np.ndarray) -> tuple[np.ndarray, float]:
-    """Normalize det to 1 and pick the branch with non-negative real trace."""
-    det = np.linalg.det(g)
-    su = g / np.sqrt(det)
-    phase = np.trace(g @ su.conj().T) / 2
-    if np.real(np.trace(su)) < 0:
-        su = -su
-        phase = -phase
-    return su, float(np.angle(phase))
+def _su2_quaternions(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The det-1 representatives of a stack of 2x2 unitaries and their unit
+    quaternions (w, x, y, z), su = w I + i (x X + y Y + z Z), sign as it falls."""
+    su = mats / np.sqrt(np.linalg.det(mats))[:, None, None]
+    a, b, c, d = su[:, 0, 0], su[:, 0, 1], su[:, 1, 0], su[:, 1, 1]
+    return su, np.stack([np.real(a + d), np.imag(b + c), np.real(b - c), np.imag(a - d)], axis=1) / 2
+
+
+def _rotation(q: np.ndarray) -> tuple[float, np.ndarray | None]:
+    """Angle phi in [0, pi/2] and unit axis (None where sin(phi) < 1e-9) of a
+    unit quaternion.  Near the identity phi is the arcsin of the vector norm:
+    the arccos of a w that rounds to 1 - 1e-16 reads phi = 1.5e-8, no longer degenerate."""
+    sin_norm = np.linalg.norm(q[1:])
+    phi = float(np.arcsin(sin_norm) if sin_norm < 1e-6 else np.arccos(min(abs(q[0]), 1.0)))
+    sin_phi = np.sin(phi)
+    if sin_phi < 1e-9:
+        return phi, None
+    axis = q[1:] / sin_phi
+    return phi, axis / np.linalg.norm(axis)
 
 
 def axis_angle(g: np.ndarray) -> AxisAngle:
     """Extract the rotation angle and unit axis of a 2x2 unitary."""
     g = require_unitary(g, "g")
-    su, global_phase = _su2_representative(g)
-    cos_phi = float(np.clip(np.real(su[0, 0] + su[1, 1]) / 2, -1.0, 1.0))
-    phi = float(np.arccos(cos_phi))
-    sin_phi = np.sin(phi)
-    if sin_phi < 1e-9:
-        return AxisAngle(phi, np.array([0.0, 0.0, 1.0]), global_phase, True)
-    axis = np.array(
-        [
-            np.imag(su[0, 1] + su[1, 0]) / 2,
-            np.real(su[0, 1] - su[1, 0]) / 2,
-            np.imag(su[0, 0] - su[1, 1]) / 2,
-        ]
-    ) / sin_phi
-    return AxisAngle(phi, axis / np.linalg.norm(axis), global_phase, False)
+    su, q = (part[0] for part in _su2_quaternions(g[None]))
+    phase = np.trace(g @ su.conj().T) / 2
+    if q[0] < 0:  # the SU(2) representative with non-negative real trace
+        q, phase = -q, -phase
+    phi, axis = _rotation(q)
+    return AxisAngle(phi, np.array([0.0, 0.0, 1.0]) if axis is None else axis, float(np.angle(phase)), axis is None)
 
 
 def from_axis_angle(aa: AxisAngle) -> np.ndarray:
@@ -89,9 +91,7 @@ def _quaternions(mats: np.ndarray) -> np.ndarray:
     Row k is the quaternion of ``mats[k]``, sign-canonical: its first
     component above 1e-9 in magnitude is positive.
     """
-    su = mats / np.sqrt(np.linalg.det(mats))[:, None, None]
-    a, b, c, d = su[:, 0, 0], su[:, 0, 1], su[:, 1, 0], su[:, 1, 1]
-    q = np.stack([np.real(a + d), np.imag(b + c), np.real(b - c), np.imag(a - d)], axis=1) / 2
+    q = _su2_quaternions(mats)[1]
     lead = q[np.arange(len(q)), np.argmax(np.abs(q) > 1e-9, axis=1)]
     return np.where(lead[:, None] < 0, -q, q)
 
@@ -158,14 +158,11 @@ def universality_diagnostic(g0: np.ndarray, g1: np.ndarray) -> UniversalityRepor
     if np.linalg.norm(g0 @ g1 - g1 @ g0) < 1e-10:
         return UniversalityReport(verdict=NOT_UNIVERSAL, **report)
 
-    # witness scan over short words: each product's angle and axis from its quaternion, as in axis_angle
     levels = _levels_for(g0, g1)
-    quats = np.concatenate([levels.level(m).quats for m in range(1, _WITNESS_DEPTH + 1)])
-    phis = np.arccos(np.minimum(np.abs(quats[:, 0]), 1.0))
-    # a degenerate product (sin phi < 1e-9, no axis) has phi / pi < 1e-9: a rational angle, never a witness
-    kinds = [_classify_angle_fraction(phi / np.pi) for phi in phis]
-    axes = quats[[kind == "irrational" for kind in kinds], 1:]
-    axes /= np.linalg.norm(axes, axis=1)[:, None]
+    rotations = [_rotation(q) for m in range(1, _WITNESS_DEPTH + 1) for q in levels.level(m).quats]
+    # a product without an axis has phi / pi < 1e-9: a rational angle, never a witness
+    kinds = [_classify_angle_fraction(phi / np.pi) for phi, _ in rotations]
+    axes = np.array([axis for (_, axis), kind in zip(rotations, kinds) if kind == "irrational"]).reshape(-1, 3)
     if np.any(np.arccos(np.clip(np.abs(axes @ axes.T), 0.0, 1.0)) > AXIS_PARALLEL_ATOL):
         return UniversalityReport(verdict=PLAUSIBLY_UNIVERSAL, **report)
     verdict = INCONCLUSIVE if ("boundary" in kinds or len(axes)) else NOT_UNIVERSAL
@@ -372,7 +369,8 @@ def density_probe(
     rng = np.random.default_rng(seed)
     sample_mat = _quaternions(np.array([random_unitary(2, rng) for _ in range(samples)]))
 
-    # dist_phase(a, b) = 2 sqrt(1 - |<qa, qb>|) for 2x2 unitaries
-    overlaps = np.abs(sample_mat @ word_mat.T)
-    nearest = overlaps.max(axis=1)
+    # dist_phase(a, b) = 2 sqrt(1 - |<qa, qb>|) for 2x2 unitaries; samples in blocks, as _overlapping_pairs
+    rows = max(1, _MATCH_BLOCK // len(word_mat))
+    nearest = np.concatenate([np.abs(sample_mat[start:start + rows] @ word_mat.T).max(axis=1)
+                              for start in range(0, samples, rows)])
     return float(np.max(2 * np.sqrt(np.maximum(0.0, 1.0 - nearest))))

@@ -91,6 +91,17 @@ def test_synth_bad_gate_expression(capsys):
     assert "FROB" in err
 
 
+def test_synth_gate_expression_is_not_shadowed_by_a_file(capsys, tmp_path, monkeypatch):
+    # a spec that parses as a gate expression is that expression, whatever files the directory holds
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "T").write_text("1 0 0 1\n")
+    code, out, _ = run_cli(capsys, ["synth", "--gens", "T,HT", "--target", "H", "--eps", "1e-10"])
+    assert code == 0
+    report = json.loads(out)
+    assert report["universality_verdict"] == "plausibly-universal"
+    assert report["length"] == 6
+
+
 def test_synth_matrix_literal_target(capsys):
     code, out, _ = run_cli(
         capsys,

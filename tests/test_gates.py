@@ -12,7 +12,6 @@ from minqc.gates import (
     cz_gate,
     hadamard,
     param_u2,
-    param_u2_angles,
     phase_gate,
     sct_gate,
     swap_gate,
@@ -130,23 +129,3 @@ def test_param_u2_always_unitary():
         eta, phi, psi, theta = rng.uniform(0, 2 * np.pi, size=4)
         p = param_u2(eta, phi, psi, theta)
         assert np.linalg.norm(p.conj().T @ p - I2) < 1e-14
-
-
-def test_param_u2_angles_recover_haar_draws():
-    rng = np.random.default_rng(10)
-    for _ in range(100):
-        m = random_unitary(2, rng)
-        np.testing.assert_allclose(param_u2(*param_u2_angles(m)), m, atol=1e-8)
-
-
-def test_param_u2_angles_degenerate_branches():
-    # theta = 0: psi is undefined and pinned to zero
-    m = param_u2(0.4, 1.1, 0.0, 0.0)
-    eta, phi, psi, theta = param_u2_angles(m)
-    assert psi == 0.0 and abs(theta) < 1e-12
-    np.testing.assert_allclose(param_u2(eta, phi, psi, theta), m, atol=1e-10)
-    # theta = pi/2: phi is undefined and pinned to zero
-    m = param_u2(0.4, 0.0, 1.3, np.pi / 2)
-    eta, phi, psi, theta = param_u2_angles(m)
-    assert phi == 0.0 and abs(theta - np.pi / 2) < 1e-12
-    np.testing.assert_allclose(param_u2(eta, phi, psi, theta), m, atol=1e-10)

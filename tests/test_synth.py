@@ -112,6 +112,14 @@ def test_axis_angle_identity_is_degenerate():
     np.testing.assert_allclose(aa.axis, [0.0, 0.0, 1.0])
 
 
+def test_axis_angle_reads_a_product_at_the_identity_as_degenerate():
+    # this word's product is I within 1e-15; the arccos of its cosine alone reads 1.49e-8
+    g1 = hadamard() @ phase_gate(np.pi / 3) @ hadamard()
+    aa = axis_angle(word_product((0, 1, 0, 1), phase_gate(np.pi), g1))
+    assert aa.degenerate
+    assert aa.phi < 1e-15
+
+
 def test_axis_angle_reconstruction_roundtrip():
     rng = np.random.default_rng(42)
     for _ in range(1000):
@@ -164,8 +172,7 @@ def test_diagnostic_finite_projective_group():
 
 
 def reference_verdict(g0, g1):
-    """The verdict of the two-product test, then a per-product ``axis_angle``
-    scan over the word levels 1..6."""
+    """The verdict of a per-word ``axis_angle`` scan over every word of length 1..6."""
     def kind(phi):
         _, err = best_rational(phi / np.pi)
         return "rational" if err < 1e-9 else "boundary" if err < 1e-8 else "irrational"
@@ -175,16 +182,10 @@ def reference_verdict(g0, g1):
 
     if np.linalg.norm(g0 @ g1 - g1 @ g0) < 1e-10:
         return NOT_UNIVERSAL
-    plus, minus = axis_angle(g0 @ g1), axis_angle(g1 @ g0)
-    kinds = [kind(plus.phi), kind(minus.phi)]
-    if kinds == ["irrational"] * 2 and not (plus.degenerate or minus.degenerate) and line(plus, minus) > 1e-6:
-        return PLAUSIBLY_UNIVERSAL
-    # the levels, not every word: a product that rounds near the identity can read as a "boundary" angle
-    levels = synth._WordLevels(g0, g1)
-    products = np.concatenate([levels.level(m).products for m in range(1, 7)])
-    rotations = [aa for aa in map(axis_angle, products) if not aa.degenerate]
-    kinds += [kind(aa.phi) for aa in rotations]
-    witnesses = [aa for aa in rotations if kind(aa.phi) == "irrational"]
+    words = [bits for m in range(1, 7) for bits in itertools.product((0, 1), repeat=m)]
+    rotations = [axis_angle(word_product(bits, g0, g1)) for bits in words]
+    kinds = [kind(aa.phi) for aa in rotations]
+    witnesses = [aa for aa, k in zip(rotations, kinds) if k == "irrational"]
     if any(line(a, b) > 1e-6 for a, b in itertools.combinations(witnesses, 2)):
         return PLAUSIBLY_UNIVERSAL
     return INCONCLUSIVE if "boundary" in kinds or witnesses else NOT_UNIVERSAL
@@ -212,6 +213,7 @@ def diagnostic_pairs(draw):
 @given(diagnostic_pairs())
 @example(pair=(phase_gate(1.0), X))
 @example(pair=(t_gate(), hadamard() @ t_gate()))
+@example(pair=(Z, hadamard() @ phase_gate(np.pi / 3) @ hadamard()))  # words whose product rounds near I
 def test_diagnostic_verdict_matches_the_per_product_reference(pair):
     assert universality_diagnostic(*pair).verdict == reference_verdict(*pair)
 
@@ -484,6 +486,20 @@ def test_density_probe_depth_zero_is_max_distance_from_identity():
 
 def test_density_probe_commuting_pair_stays_uncovered():
     assert density_probe(Z, t_gate(), 8) > 0.5
+
+
+def test_density_probe_memory_stays_bounded_at_depth_14():
+    # 1000 samples against the 32767 products of a Haar pair: the whole overlap matrix would be 250 MiB
+    rng = np.random.default_rng(3)
+    g0, g1 = random_unitary(2, rng), random_unitary(2, rng)
+    synth._levels_for(g0, g1).level(14)
+    tracemalloc.start()
+    try:
+        density_probe(g0, g1, 14)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
 
 
 def test_density_probe_decreases_with_depth():
