@@ -41,6 +41,7 @@ WALL_TIME = re.compile(rb'"wall_time_s": [0-9.e+-]+')
 
 CLI_CASES = [
     *(["verify", "all", "--seed", seed, "--trials", trials] for seed in ("0", "7") for trials in ("100", "25", "1")),
+    ["verify", "all", "--seed", "7", "--trials", "9"],  # between the k-7 (8) and l-9 (10) caps
     ["schedule", "cz_t_two_qubit.sched", "--claimed", "cz_t_entangler.mat"],
     ["schedule", "sct_two_qubit.sched", "--claimed", "sct_entangler.mat"],
     ["schedule", "sct_single_qubit_1.sched", "--claimed", "THT"],

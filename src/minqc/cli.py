@@ -36,8 +36,19 @@ SCHEMA_VERSION = "1"
 _SUITE_IDS = {"k": 1, "l": 2, "hamiltonian": 3, "appendix-a": 4, "endnote-a": 5}
 
 
-def _rng(seed: int, suite: str, check_index: int) -> np.random.Generator:
-    return np.random.default_rng([seed, _SUITE_IDS[suite], check_index])
+def _draws(seed: int, suite: str, check_index: int, count: int, draw) -> list:
+    """``count`` calls of ``draw`` on the check's own generator, seeded by
+    (seed, suite, check index), so a check draws the same alone or in ``all``."""
+    rng = np.random.default_rng([seed, _SUITE_IDS[suite], check_index])
+    return [draw(rng) for _ in range(count)]
+
+
+def _unitary_pair(rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    return random_unitary(2, rng), random_unitary(2, rng)
+
+
+def _angle(rng: np.random.Generator) -> float:
+    return rng.uniform(0, 2 * np.pi)
 
 
 def _check(suite: str, claim: str, residual: float, tolerance: float) -> dict:
@@ -59,40 +70,28 @@ def _margin_check(suite: str, claim: str, value: float, threshold: float) -> dic
     return _check(suite, claim, max(0.0, threshold - value), 1e-15)
 
 
-def _random_instances(rng: np.random.Generator, trials: int):
-    for _ in range(trials):
-        yield random_unitary(2, rng), random_unitary(2, rng)
-
-
 def _suite_k(seed: int, trials: int) -> list[dict]:
     suite = "k"
     checks = []
     h = hadamard()
 
-    rng = _rng(seed, suite, 0)
-    residual = 0.0
-    for u, v in _random_instances(rng, trials):
-        residual = max(residual, cz_model.factorization_residual(cz_model.cz_interaction(u, v)))
+    residual = max(
+        cz_model.factorization_residual(cz_model.cz_interaction(u, v)) for u, v in _draws(seed, suite, 0, trials, _unitary_pair)
+    )
     checks.append(_check(suite, "dressed-CZ and ancilla-controlled factorizations agree", residual, cz_model.FACTORIZATION_ATOL))
 
-    rng = _rng(seed, suite, 1)
-    residual = 0.0
-    for u, v in _random_instances(rng, trials):
-        k = cz_model.cz_interaction(u, v)
-        residual = max(residual, cz_model.action_residual(k, 0), cz_model.action_residual(k, 1))
+    interactions = [cz_model.cz_interaction(u, v) for u, v in _draws(seed, suite, 1, trials, _unitary_pair)]
+    residual = max(cz_model.action_residual(k, bit) for k in interactions for bit in (0, 1))
     checks.append(_check(suite, "basis-prepared ancilla applies the selected gate, exiting in H|i>", residual, cz_model.ACTION_ATOL))
 
-    rng = _rng(seed, suite, 2)
-    decouple = 0.0
-    invariant_gap = 0.0
-    schmidt = 0.0
+    sandwiches = [cz_model.sandwich(cz_model.cz_interaction(u, v)) for u, v in _draws(seed, suite, 2, trials, _unitary_pair)]
+    decouple = max(residual for _, _, residual in sandwiches)
     cz_inv = locequiv.invariants(cz_gate())
-    for u, v in _random_instances(rng, trials):
-        seq, induced, residual = cz_model.sandwich(cz_model.cz_interaction(u, v))
-        decouple = max(decouple, residual)
-        invariant_gap = max(invariant_gap, locequiv.invariants(induced).distance(cz_inv))
-        svals = np.linalg.svd(seq.reshape(4, 2, 4, 2).transpose(0, 2, 1, 3).reshape(16, 4), compute_uv=False)
-        schmidt = max(schmidt, float(svals[1]))
+    invariant_gap = max(locequiv.invariants(induced).distance(cz_inv) for _, induced, _ in sandwiches)
+    schmidt = max(
+        float(np.linalg.svd(seq.reshape(4, 2, 4, 2).transpose(0, 2, 1, 3).reshape(16, 4), compute_uv=False)[1])
+        for seq, _, _ in sandwiches
+    )
     checks.append(_check(suite, "four-interaction sandwich decouples the mediating ancilla", decouple, cz_model.SANDWICH_ATOL))
     checks.append(_check(suite, "induced register gate is locally equivalent to CZ", invariant_gap, locequiv.INVARIANT_ATOL))
     checks.append(_check(suite, "register/ancilla operator Schmidt rank is one", schmidt, 1e-10))
@@ -116,23 +115,18 @@ def _suite_k(seed: int, trials: int) -> list[dict]:
     checks.append(_check(suite, "15-ancilla word schedule implements the induced entangler", sim_residual, 1e-9))
     checks.append(_bool_check(suite, "word schedule uses 14 word ancillas plus 1 entangling ancilla, 18 interactions", counts_ok))
 
-    rng = _rng(seed, suite, 7)
-    residual = 0.0
-    for _ in range(min(trials, 8)):
-        prep = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-        rep = run_schedule(schedule, prep_overrides={"e": prep})
-        residual = max(residual, dist_phase(rep.register_unitary, induced))
+    preps = _draws(seed, suite, 7, min(trials, 8), lambda rng: rng.standard_normal(2) + 1j * rng.standard_normal(2))
+    residual = max(dist_phase(run_schedule(schedule, prep_overrides={"e": prep}).register_unitary, induced) for prep in preps)
     checks.append(_check(suite, "entangling ancilla may be prepared in any pure state", residual, 1e-9))
 
-    rng = _rng(seed, suite, 8)
-    residual = 0.0
-    for _ in range(trials):
+    def diagonal_instance(rng):
         u = random_unitary(2, rng)
         diag = np.diag(np.exp(1j * rng.uniform(0, 2 * np.pi, size=2)))
-        k_diag = cz_model.cz_interaction(u, diag @ u.conj().T)
-        residual = max(residual, float(np.linalg.norm(
-            k_diag.gate0 @ k_diag.gate1 - k_diag.gate1 @ k_diag.gate0
-        )))
+        return cz_model.cz_interaction(u, diag @ u.conj().T)
+
+    residual = max(
+        float(np.linalg.norm(k.gate0 @ k.gate1 - k.gate1 @ k.gate0)) for k in _draws(seed, suite, 8, trials, diagonal_instance)
+    )
     checks.append(_check(suite, "diagonal v.u forces the selected gates to commute", residual, 1e-12))
     return checks
 
@@ -142,44 +136,25 @@ def _suite_l(seed: int, trials: int) -> list[dict]:
     checks = []
     swap = swap_gate()
 
-    def draw(rng):
-        return (
-            random_unitary(2, rng),
-            rng.uniform(0, 2 * np.pi),
-            rng.uniform(0, 2 * np.pi),
-            rng.uniform(0, 2 * np.pi),
-        )
+    def instance(rng):
+        return swap_model.swap_interaction(random_unitary(2, rng), _angle(rng), _angle(rng), _angle(rng))
 
-    rng = _rng(seed, suite, 0)
-    residual = 0.0
-    for _ in range(trials):
-        l = swap_model.swap_interaction(*draw(rng))
-        residual = max(residual, swap_model.factorization_residual(l))
+    residual = max(swap_model.factorization_residual(l) for l in _draws(seed, suite, 0, trials, instance))
     checks.append(_check(suite, "swap-phase and ancilla-controlled factorizations agree", residual, swap_model.FACTORIZATION_ATOL))
 
-    rng = _rng(seed, suite, 1)
-    residual = 0.0
-    for _ in range(trials):
-        l = swap_model.swap_interaction(*draw(rng))
-        residual = max(residual, swap_model.action_residual(l, 0), swap_model.action_residual(l, 1))
+    residual = max(swap_model.action_residual(l, bit) for l in _draws(seed, suite, 1, trials, instance) for bit in (0, 1))
     checks.append(_check(suite, "two interactions apply the selected gate, ancilla exiting in u|i>", residual, swap_model.ACTION_ATOL))
 
-    rng = _rng(seed, suite, 2)
-    decouple = 0.0
-    entangling_ok = True
-    asym_dists = []
-    for _ in range(trials):
-        closed, residual = swap_model.sandwich(swap_model.swap_interaction(*draw(rng)))
-        decouple = max(decouple, residual)
-        entangling_ok = entangling_ok and locequiv.is_entangling(closed)
-        asym_dists.append(dist_phase(closed, swap @ closed @ swap))
+    sandwiches = [swap_model.sandwich(l) for l in _draws(seed, suite, 2, trials, instance)]
+    decouple = max(residual for _, residual in sandwiches)
+    entangling_ok = all(locequiv.is_entangling(closed) for closed, _ in sandwiches)
     checks.append(_check(suite, "three-interaction sequence decouples the ancilla in u|0> and matches the closed form", decouple, swap_model.SANDWICH_ATOL))
     checks.append(_bool_check(suite, "induced entangler is entangling for nontrivial phase angles", entangling_ok))
     # exchange symmetry only occurs on a measure-zero parameter set; assert
     # the typical draw is far from it and the SCT instance specifically is
     sct_gate_n = swap_model.entangling_gate(catalog.sct_instance())
     asym = min(
-        float(np.median(asym_dists)) if asym_dists else 1.0,
+        float(np.median([dist_phase(closed, swap @ closed @ swap) for closed, _ in sandwiches])),
         dist_phase(sct_gate_n, swap @ sct_gate_n @ swap),
     )
     checks.append(_margin_check(suite, "induced entangler is generically asymmetric under register exchange", asym, 0.1))
@@ -207,11 +182,8 @@ def _suite_l(seed: int, trials: int) -> list[dict]:
     )
     checks.append(_bool_check(suite, "schedules use 3 interactions per entangling gate and 2 per single-qubit gate", ok))
 
-    rng = _rng(seed, suite, 9)
     residual = 0.0
-    for _ in range(min(trials, 10)):
-        u, th, tr, ta = draw(rng)
-        inst = swap_model.swap_interaction(u, th, tr, ta)
+    for inst in _draws(seed, suite, 9, min(trials, 10), instance):
         rep = run_schedule(swap_model.two_qubit_schedule(inst, "swap"))
         residual = max(residual, dist_phase(rep.register_unitary, swap_model.entangling_gate(inst)))
         for bit in (0, 1):
@@ -228,22 +200,16 @@ def _suite_hamiltonian(seed: int, trials: int) -> list[dict]:
     residual = max(hamiltonian.evolution_residual(th) for th in np.linspace(0.0, 2 * np.pi, 32, endpoint=False))
     checks.append(_check(suite, "quarter-time evolution matches the swap-phase product form on a 32-angle grid", residual, hamiltonian.EVOLUTION_ATOL))
 
-    rng = _rng(seed, suite, 1)
-    residual = 0.0
-    eig_residual = 0.0
-    for _ in range(trials):
-        th = rng.uniform(0, 2 * np.pi)
-        residual = max(residual, hamiltonian.evolution_residual(th))
-        eig_residual = max(eig_residual, hamiltonian.spectrum_residual(th))
+    angles = _draws(seed, suite, 1, trials, _angle)
+    residual = max(hamiltonian.evolution_residual(th) for th in angles)
+    eig_residual = max(hamiltonian.spectrum_residual(th) for th in angles)
     checks.append(_check(suite, "product-form identity holds at random angles", residual, hamiltonian.EVOLUTION_ATOL))
     checks.append(_check(suite, "spectrum is {pi-theta (x2), pi+theta, theta-3pi}", eig_residual, hamiltonian.SPECTRUM_ATOL))
 
-    rng = _rng(seed, suite, 3)
-    residual = 0.0
-    for _ in range(trials):
-        th = rng.uniform(0, 2 * np.pi)
-        inst = hamiltonian.derived_swap_instance(th)
-        residual = max(residual, hamiltonian.selected_gate_residuals(inst, th)[0])
+    residual = max(
+        hamiltonian.selected_gate_residuals(hamiltonian.derived_swap_instance(th), th)[0]
+        for th in _draws(seed, suite, 3, trials, _angle)
+    )
     checks.append(_check(suite, "derived interaction always selects the Hadamard first", residual, hamiltonian.DERIVED_ATOL))
 
     inst = hamiltonian.derived_swap_instance(np.pi / 4)
@@ -288,20 +254,16 @@ def _suite_universality(seed: int, trials: int) -> list[dict]:
     )
     checks.append(_bool_check(suite, "verdicts: {T,HT} plausibly universal, {Z,T} rejected", verdicts_ok))
 
-    rng = _rng(seed, suite, 5)
-    residual = 0.0
-    for _ in range(trials):
-        g = random_unitary(2, rng)
-        residual = max(residual, dist_phase(synth.from_axis_angle(synth.axis_angle(g)), g))
+    residual = max(
+        dist_phase(synth.from_axis_angle(synth.axis_angle(g)), g)
+        for g in _draws(seed, suite, 5, trials, lambda rng: random_unitary(2, rng))
+    )
     checks.append(_check(suite, "axis-angle decomposition reconstructs Haar draws", residual, 1e-11))
 
-    rng = _rng(seed, suite, 6)
     worst = 0.0
     mismatch = 0.0
     exhausted = 0
-    for _ in range(min(trials, 20)):
-        length = int(rng.integers(6, 17))
-        bits = tuple(int(b) for b in rng.integers(0, 2, size=length))
+    for bits in _draws(seed, suite, 6, min(trials, 20), lambda rng: rng.integers(0, 2, size=int(rng.integers(6, 17)))):
         target = word_product(bits, h, tht)
         try:
             word = synth.synthesize(h, tht, target, 1e-8)
@@ -377,8 +339,6 @@ def cmd_synth(args) -> int:
     g0 = catalog.parse_gate_spec(parts[0].strip(), rng)
     g1 = catalog.parse_gate_spec(parts[1].strip(), rng)
     target = catalog.parse_gate_spec(args.target, rng)
-    if target.shape != (2, 2) or g0.shape != (2, 2) or g1.shape != (2, 2):
-        raise ValueError("synthesis operates on 2x2 gates")
     diagnostic = synth.universality_diagnostic(g0, g1)
     report = {
         **_header("synth"),

@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import SearchExhausted
+from .errors import DimensionMismatch, SearchExhausted
 from .linalg import dist_phase, random_unitary, require_unitary
 
 PLAUSIBLY_UNIVERSAL = "plausibly-universal"
@@ -28,6 +28,13 @@ AXIS_PARALLEL_ATOL = 1e-6
 _WITNESS_DEPTH = 6
 
 DEFAULT_MAX_WORD_LEN = 24
+
+
+def _require_gate(g: np.ndarray, name: str) -> np.ndarray:
+    """``g`` as a complex 2x2 unitary; raises on any other shape, then as :func:`require_unitary`."""
+    if np.shape(g) != (2, 2):
+        raise DimensionMismatch(f"{name} has shape {np.shape(g)}: synthesis operates on 2x2 gates")
+    return require_unitary(g, name)
 
 
 @dataclass(frozen=True)
@@ -68,7 +75,7 @@ def _rotation(q: np.ndarray) -> tuple[float, np.ndarray | None]:
 
 def axis_angle(g: np.ndarray) -> AxisAngle:
     """Extract the rotation angle and unit axis of a 2x2 unitary."""
-    g = require_unitary(g, "g")
+    g = _require_gate(g, "g")
     su, q = (part[0] for part in _su2_quaternions(g[None]))
     phase = np.trace(g @ su.conj().T) / 2
     if q[0] < 0:  # the SU(2) representative with non-negative real trace
@@ -143,8 +150,8 @@ def universality_diagnostic(g0: np.ndarray, g1: np.ndarray) -> UniversalityRepor
     angles can be rational even for universal pairs).  Commuting generators
     share an axis and are rejected outright.
     """
-    g0 = require_unitary(g0, "g0")
-    g1 = require_unitary(g1, "g1")
+    g0 = _require_gate(g0, "g0")
+    g1 = _require_gate(g1, "g1")
     plus = axis_angle(g0 @ g1)
     minus = axis_angle(g1 @ g0)
     report = dict(
@@ -320,9 +327,9 @@ def synthesize(
     (prefix, suffix) pair in row-major order to pass is the lex-first word
     (0 before 1) of minimal length: the result is deterministic.
     """
-    g0 = require_unitary(g0, "g0")
-    g1 = require_unitary(g1, "g1")
-    target = require_unitary(target, "target")
+    g0 = _require_gate(g0, "g0")
+    g1 = _require_gate(g1, "g1")
+    target = _require_gate(target, "target")
     if not 0 < epsilon < math.inf:
         raise ValueError("epsilon must be positive and finite")
 
@@ -361,8 +368,8 @@ def density_probe(
     maximum over a Haar sample of the phase-distance to the nearest word.
     Decreasing values with depth are empirical evidence of density in SU(2).
     """
-    g0 = require_unitary(g0, "g0")
-    g1 = require_unitary(g1, "g1")
+    g0 = _require_gate(g0, "g0")
+    g1 = _require_gate(g1, "g1")
     levels = _levels_for(g0, g1)
     word_mat = np.concatenate([levels.level(m).quats for m in range(depth + 1)])
 

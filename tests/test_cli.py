@@ -55,12 +55,14 @@ def test_verify_reports_are_deterministic(capsys):
     assert outs[0] == outs[1]
 
 
-def test_verify_suite_checks_match_all_run(capsys):
-    _, solo, _ = run_cli(capsys, ["verify", "hamiltonian", "--seed", "5", "--trials", "10"])
+@pytest.mark.parametrize("suite", list(cli._SUITE_IDS))
+def test_verify_suite_checks_match_all_run(capsys, suite):
+    # each check draws from its own generator, so a suite run alone draws as it does inside ``all``
+    _, solo, _ = run_cli(capsys, ["verify", suite, "--seed", "5", "--trials", "10"])
     _, combined, _ = run_cli(capsys, ["verify", "all", "--seed", "5", "--trials", "10"])
     solo_checks = json.loads(solo)["checks"]
-    combined_checks = [c for c in json.loads(combined)["checks"] if c["suite"] == "hamiltonian"]
-    assert solo_checks == combined_checks
+    combined_checks = [c for c in json.loads(combined)["checks"] if c["suite"] == suite]
+    assert solo_checks and solo_checks == combined_checks
 
 
 def test_synth_hadamard_word(capsys):
@@ -199,12 +201,14 @@ def _unreachable(*args, **kwargs):
         (["schedule", SCT1, "--claimed", "1,0,0,0,0,0,0,0"], None, 2, "not unitary"),
         (["schedule", SCT1, "--claimed", "1e300,0,0,0,0,0,1,0"], None, 2, "not unitary"),
         (["synth", "--gens", "T,HT", "--target", "1e300,0,0,0,0,0,1,0", "--eps", "0.1"], None, 2, "not unitary"),
+        (["synth", "--gens", "T,HT", "--target", "CNOT", "--eps", "0.1"], None, 2, "2x2"),
     ],
     ids=[
         "non-unitary-target", "bad-env-tol", "claim-dimension", "negative-eps", "nan-eps", "entangled-exit",
         "nan-tol", "negative-tol", "inf-tol", "nan-env-tol", "zero-env-tol",
         "nan-angle", "inf-angle", "overflowing-angle", "nan-literal", "inf-literal", "nan-matrix-file",
         "inf-angle-generator", "non-unitary-claim", "overflowing-claim", "overflowing-target",
+        "4x4-target",
     ],
 )
 def test_error_paths_exit_without_traceback(capsys, monkeypatch, recwarn, tmp_path, argv, env_tol, expected, fragment):

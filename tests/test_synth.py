@@ -9,8 +9,8 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from minqc import synth
-from minqc.errors import SearchExhausted
-from minqc.gates import I2, X, Z, hadamard, phase_gate, t_gate
+from minqc.errors import DimensionMismatch, SearchExhausted
+from minqc.gates import I2, X, Z, cnot_gate, cz_gate, hadamard, phase_gate, swap_gate, t_gate
 from minqc.linalg import dist_phase, random_unitary
 from minqc.synth import (
     INCONCLUSIVE,
@@ -365,6 +365,23 @@ def test_tiny_epsilon_search_over_a_finite_group_pair_stays_small():
 def test_synthesize_rejects_bad_epsilon(epsilon):
     with pytest.raises(ValueError):
         synthesize(Z, t_gate(), X, epsilon)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: axis_angle(cnot_gate()),
+        lambda: universality_diagnostic(cz_gate(), swap_gate()),
+        lambda: universality_diagnostic(hadamard(), cz_gate()),
+        lambda: synthesize(hadamard(), t_gate(), cnot_gate(), 0.1),
+        lambda: density_probe(cz_gate(), hadamard(), 2),
+    ],
+    ids=["axis-angle", "diagnostic", "diagnostic-g1", "synthesize-target", "density-probe"],
+)
+def test_synth_rejects_gates_that_are_not_2x2(call):
+    # a 4x4 gate is neither a degenerate rotation nor a verdict, and fails before any numpy error
+    with pytest.raises(DimensionMismatch, match="synthesis operates on 2x2 gates"):
+        call()
 
 
 @pytest.mark.parametrize("epsilon", [1e-17, 1e-100, 1e-300, 5e-324])
