@@ -47,6 +47,7 @@ CLI_CASES = [
     ["schedule", "sct_single_qubit_1.sched", "--claimed", "THT"],
     ["schedule", "sct_single_qubit_1.sched", "--claimed", "H"],
     ["synth", "--gens", "T,HT", "--target", "H", "--eps", "1e-10"],
+    ["synth", "--gens", "T,HT", "--target", "Tdg", "--eps", "1e-12"],  # exact inverse word for the CZ-T model
     ["synth", "--gens", "H,THT", "--target", "THT", "--eps", "1e-8"],
     ["synth", "--gens", "Z,T", "--target", "X", "--eps", "0.01"],
     ["synth", "--gens", "Z,T", "--target", "X", "--eps", "1e-17", "--max-len", "300"],

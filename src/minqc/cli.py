@@ -2,8 +2,9 @@
 
 Reports are JSON documents on stdout with a stable schema; for identical
 seed and arguments the bytes are identical except for the wall_time_s field.
-Randomness derives from a single 64-bit seed with per-check counters, so any
-suite reproduces the same draws whether run alone or as part of ``all``.
+Randomness derives from one non-negative integer seed with per-check
+counters, so any suite reproduces the same draws whether run alone or as
+part of ``all``.
 
 Exit codes: 0 all checks passed, 1 a check or verification failed, 2 invalid
 arguments or unparseable input, 3 synthesis search exhausted.  Input errors

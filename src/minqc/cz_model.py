@@ -14,19 +14,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FactorizationFailure, SearchExhausted
+from .errors import FactorizationFailure
 from .gates import I2, X, Z, controlled, cz_gate, hadamard
-from .linalg import dist_phase, embed_gate, exit_residual, require_unitary, tensor
+from .linalg import embed_gate, exit_residual, require_unitary, tensor
 from .simulator import Schedule, Step
-from .synth import (
-    NOT_UNIVERSAL,
-    DEFAULT_MAX_WORD_LEN,
-    GateWord,
-    synthesize,
-    universality_diagnostic,
-)
+from .synth import GateWord
 
-EXACT_WORD_ATOL = 1e-12
 # Identity tolerances: the constructors raise at them, ``minqc verify`` reports against them.
 FACTORIZATION_ATOL = 1e-12
 ACTION_ATOL = 1e-12
@@ -101,31 +94,6 @@ def entangling_gate(interaction: CZInteraction) -> np.ndarray:
             f"ancilla failed to decouple from the register (residual {residual:.3e})"
         )
     return induced
-
-
-def expand_gate0_inverse(
-    interaction: CZInteraction,
-    epsilon: float,
-    max_len: int = DEFAULT_MAX_WORD_LEN,
-) -> GateWord:
-    """Word over {gate0, gate1} approximating gate0^dagger.
-
-    Exact words (distance below 1e-12) are preferred over shorter approximate
-    ones whenever one exists within the depth bound.
-    """
-    target = interaction.gate0.conj().T
-    identity_dist = dist_phase(I2, target)
-    if identity_dist < EXACT_WORD_ATOL and identity_dist < epsilon:
-        return GateWord((), identity_dist)
-    report = universality_diagnostic(interaction.gate0, interaction.gate1)
-    if report.verdict == NOT_UNIVERSAL:
-        raise ValueError("selected gate pair fails the universality diagnostic")
-    if epsilon > EXACT_WORD_ATOL:
-        try:
-            return synthesize(interaction.gate0, interaction.gate1, target, EXACT_WORD_ATOL, max_len)
-        except SearchExhausted:
-            pass
-    return synthesize(interaction.gate0, interaction.gate1, target, epsilon, max_len)
 
 
 def single_qubit_schedule(

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import BadTargets, DimensionMismatch, NonHermitianInput, NonUnitaryArgument
 
-# Default tolerance of the unitarity check on constructor arguments.
+# Tolerance of the unitarity check on constructor arguments.
 UNITARY_ATOL = 1e-12
 
 
@@ -25,16 +25,16 @@ def as_matrix(m) -> np.ndarray:
     return m
 
 
-def is_unitary(m: np.ndarray, atol: float = UNITARY_ATOL) -> bool:
+def is_unitary(m: np.ndarray) -> bool:
     m = as_matrix(m)
     with np.errstate(over="ignore", invalid="ignore"):  # huge entries are simply not unitary
-        return bool(np.linalg.norm(m.conj().T @ m - np.eye(m.shape[0])) < atol)
+        return bool(np.linalg.norm(m.conj().T @ m - np.eye(m.shape[0])) < UNITARY_ATOL)
 
 
-def require_unitary(m: np.ndarray, name: str = "matrix", atol: float = UNITARY_ATOL) -> np.ndarray:
+def require_unitary(m: np.ndarray, name: str = "matrix") -> np.ndarray:
     m = as_matrix(m)
-    if not is_unitary(m, atol):
-        raise NonUnitaryArgument(f"{name} is not unitary within {atol:g}")
+    if not is_unitary(m):
+        raise NonUnitaryArgument(f"{name} is not unitary within {UNITARY_ATOL:g}")
     return m
 
 

@@ -48,21 +48,17 @@ def invariants(u: np.ndarray) -> LocalInvariants:
     return LocalInvariants(complex(g1), float(np.real(g2)))
 
 
-def locally_equivalent(u: np.ndarray, v: np.ndarray, tol: float = INVARIANT_ATOL) -> bool:
-    """True when u and v differ only by single-qubit gates on each side."""
-    return invariants(u).distance(invariants(v)) < tol
-
-
 def _concurrence(psi: np.ndarray) -> float:
     # 2|ad - bc| for amplitudes (a, b, c, d); zero exactly on product states
     return 2 * abs(psi[0] * psi[3] - psi[1] * psi[2])
 
 
-def _creates_entanglement(u: np.ndarray, trials: int = 64, seed: int = 0) -> bool:
-    """Search fallback: does u map some product state to an entangled one?"""
-    rng = np.random.default_rng(seed)
+def _creates_entanglement(u: np.ndarray) -> bool:
+    """Search fallback: does u map one of 64 seeded random product states to
+    an entangled one?"""
+    rng = np.random.default_rng(0)
     best = 0.0
-    for _ in range(trials):
+    for _ in range(64):
         a = rng.standard_normal(2) + 1j * rng.standard_normal(2)
         b = rng.standard_normal(2) + 1j * rng.standard_normal(2)
         psi = tensor(a / np.linalg.norm(a), b / np.linalg.norm(b))
@@ -70,7 +66,7 @@ def _creates_entanglement(u: np.ndarray, trials: int = 64, seed: int = 0) -> boo
     return best > 1e-6
 
 
-def is_entangling(u: np.ndarray, tol: float = INVARIANT_ATOL) -> bool:
+def is_entangling(u: np.ndarray) -> bool:
     """True when u can map a product state to an entangled state.
 
     Gates locally equivalent to the identity or to SWAP preserve product
@@ -79,7 +75,7 @@ def is_entangling(u: np.ndarray, tol: float = INVARIANT_ATOL) -> bool:
     """
     inv = invariants(u)
     for g1, g2 in (_IDENTITY_CLASS, _SWAP_CLASS):
-        if inv.distance(LocalInvariants(g1, g2)) < tol:
+        if inv.distance(LocalInvariants(g1, g2)) < INVARIANT_ATOL:
             return _creates_entanglement(u)
     return True
 

@@ -103,8 +103,8 @@ def _quaternions(mats: np.ndarray) -> np.ndarray:
     return np.where(lead[:, None] < 0, -q, q)
 
 
-def best_rational(x: float, max_den: int = RATIONAL_ANGLE_MAX_DEN) -> tuple[Fraction, float]:
-    frac = Fraction(x).limit_denominator(max_den)
+def best_rational(x: float) -> tuple[Fraction, float]:
+    frac = Fraction(x).limit_denominator(RATIONAL_ANGLE_MAX_DEN)
     return frac, abs(x - float(frac))
 
 

@@ -1,23 +1,21 @@
 import dataclasses
 
 import numpy as np
-import pytest
 
 from minqc import cz_model
 from minqc.catalog import cz_t_instance
 from minqc.cz_model import (
     cz_interaction,
     entangling_gate,
-    expand_gate0_inverse,
     mediated_cz_residuals,
     single_qubit_schedule,
     two_qubit_schedule,
 )
 from minqc.gates import I2, X, Z, controlled, cz_gate, hadamard, t_gate
 from minqc.linalg import dist_phase, random_unitary, tensor
-from minqc.locequiv import locally_equivalent
+from minqc.locequiv import INVARIANT_ATOL, invariants
 from minqc.simulator import run
-from minqc.synth import GateWord, word_product
+from minqc.synth import GateWord, synthesize, word_product
 
 
 def embed_oracle(g, targets, n):
@@ -94,7 +92,8 @@ def test_entangling_gate_identity_dressing_is_cz():
 
 
 def test_entangling_gate_t_instance_locally_equivalent_to_cz():
-    assert locally_equivalent(entangling_gate(cz_t_instance()), cz_gate())
+    gap = invariants(entangling_gate(cz_t_instance())).distance(invariants(cz_gate()))
+    assert gap < INVARIANT_ATOL
 
 
 def test_entangling_sequence_decouples_against_dense_oracle():
@@ -142,41 +141,17 @@ def test_commuting_obstruction_for_diagonal_vu():
         )
 
 
-def test_expand_returns_exact_word_for_t_instance():
+def test_synthesize_finds_exact_length_5_inverse_word_for_t_instance():
+    # T^dagger over (T, HT): HT.T.HT.T.HT = HSHSH.T ~ S^dagger T, shorter than the paper's T^7
     k = cz_t_instance()
-    word = expand_gate0_inverse(k, 0.05)
-    assert word.distance < 1e-12
-    product = word_product(word.bits, k.gate0, k.gate1)
-    assert dist_phase(product, k.gate0.conj().T) < 1e-12
-    # exact words exist from length 5 up; the shortest is preferred over the
-    # classic all-zeros length-7 one
-    assert len(word.bits) == 5
-
-
-def test_expand_trivial_identity_gives_empty_word():
-    # gate0 = I: the empty word is exact and wins before any search
-    word = expand_gate0_inverse(cz_interaction(I2, I2), 0.05)
-    assert word.bits == () and word.distance < 1e-12
-
-
-def test_expand_rejects_non_universal_pairs_with_nontrivial_target():
-    # both diagonal: commuting
-    with pytest.raises(ValueError):
-        expand_gate0_inverse(cz_interaction(I2, t_gate()), 0.05)
-    # (H, ZH) generate a finite dihedral rotation group: rejected even though
-    # an exact single-letter word for the target exists
-    with pytest.raises(ValueError):
-        expand_gate0_inverse(cz_interaction(I2, hadamard()), 0.05)
-
-
-def test_expand_random_universal_pair_meets_accuracy():
-    rng = np.random.default_rng(57)
-    k = cz_interaction(random_unitary(2, rng), random_unitary(2, rng))
-    word = expand_gate0_inverse(k, 0.05, max_len=24)
-    product = word_product(word.bits, k.gate0, k.gate1)
-    # certify with the closed-form overlap bound, independent of dist_phase
-    overlap = abs(np.trace(product.conj().T @ k.gate0.conj().T))
-    assert np.sqrt(max(0.0, 4 - 2 * overlap)) < 0.05
+    tdg = t_gate().conj().T
+    word = synthesize(t_gate(), hadamard() @ t_gate(), tdg, 1e-12)
+    assert word.bits == (1, 0, 1, 0, 1) and word.distance < 1e-12
+    assert dist_phase(word_product(word.bits, k.gate0, k.gate1), k.gate0.conj().T) < 1e-12
+    schedule = two_qubit_schedule(k, word, "cz_t")
+    assert schedule.ancilla_count() == 11
+    assert schedule.interaction_count() == 14
+    assert dist_phase(run(schedule).register_unitary, entangling_gate(k)) < 1e-9
 
 
 def test_two_qubit_schedule_shape():
