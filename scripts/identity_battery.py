@@ -24,6 +24,7 @@ import io
 import os
 import re
 import sys
+import tempfile
 from importlib import resources
 from pathlib import Path
 
@@ -31,8 +32,8 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
-from minqc import cli, simulator, synth  # noqa: E402
-from minqc.catalog import parse_gate_spec, standard_interactions  # noqa: E402
+from minqc import cli, simulator, swap_model, synth  # noqa: E402
+from minqc.catalog import parse_gate_spec, sct_instance, standard_interactions  # noqa: E402
 from minqc.errors import AncillaEntangledAtExit, SearchExhausted  # noqa: E402
 from minqc.linalg import random_unitary  # noqa: E402
 from workloads import random_schedule  # noqa: E402
@@ -76,6 +77,22 @@ def run_cli(argv: list[str]) -> None:
         code = cli.main(argv)
     emit(" ".join(argv), f"exit {code}", WALL_TIME.sub(b'"wall_time_s": MASKED', out.getvalue().encode()),
          err.getvalue().encode())
+
+
+def three_qubit_schedule_case() -> None:
+    """``schedule`` on a 3-qubit register against an 8x8 claimed file.  The files
+    go to a temporary directory and are named relative to it, so the report
+    bytes do not depend on where that directory is."""
+    gate = np.kron(swap_model.entangling_gate(sct_instance()), np.eye(2))
+    here = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            Path("sct_three_qubit.sched").write_text("REGISTER 3\nPREP a0 0\nINT sct 2 a0\nINT sct 1 a0\nINT sct 2 a0\n")
+            Path("sct_three_qubit.mat").write_text("".join(" ".join(map(repr, row.tolist())) + "\n" for row in gate))
+            run_cli(["schedule", "sct_three_qubit.sched", "--claimed", "sct_three_qubit.mat"])
+        finally:
+            os.chdir(here)
 
 
 def word_outcome(g0, g1, target, epsilon: float, max_len: int):
@@ -179,6 +196,7 @@ def main() -> int:
             run_cli(argv)
     finally:
         os.chdir(here)
+    three_qubit_schedule_case()
     synthesis_cases()
     axis_angle_cases()
     universality_cases()

@@ -2,12 +2,14 @@
 
 Gate expressions are products of named gates read left to right ("THT" is
 T.H.T) with optional phase gates "R(<radians>)", the angle finite.  Matrix
-literals are comma-separated reals, (re, im) per entry row-major: 8 numbers
-for 2x2, 32 for 4x4.  Matrix files hold whitespace-separated complex entries
-(Python literal syntax), 4 or 16 of them.  Every entry must be finite.
+literals are comma-separated reals, (re, im) per entry row-major; matrix
+files hold whitespace-separated complex entries (Python literal syntax) in
+any layout.  Both hold 4^k finite entries, a 2^k x 2^k matrix, for 1 <= k
+<= MAX_REGISTER_QUBITS (the simulator's register cap).
 """
 from __future__ import annotations
 
+import itertools
 import math
 import os
 import re
@@ -30,6 +32,7 @@ from .gates import (
     t_gate,
 )
 from .linalg import random_unitary
+from .simulator import MAX_REGISTER_QUBITS
 
 
 def named_gates() -> dict[str, np.ndarray]:
@@ -83,26 +86,37 @@ def parse_gate_expr(expr: str) -> np.ndarray:
     return out
 
 
+def _square(numbers, dtype: type, what: str) -> np.ndarray:
+    """The 2^k x 2^k matrix that ``numbers`` fill row-major, as complex entries
+    or (re, im) pairs of floats, under the rule of the module docstring.
+    Reading stops one number past the largest size."""
+    per_entry, unit = (2, "2*4^k comma-separated reals") if dtype is float else (1, "4^k complex entries")
+    values = np.fromiter(itertools.islice(numbers, per_entry * 4**MAX_REGISTER_QUBITS + 1), dtype)
+    k = (len(values) // per_entry).bit_length() // 2
+    if len(values) != per_entry * 4**k or not 1 <= k <= MAX_REGISTER_QUBITS:
+        raise ValueError(f"{what} needs {unit} for 1 <= k <= {MAX_REGISTER_QUBITS}, got {len(values)}")
+    if not np.isfinite(values).all():
+        raise ValueError(f"{what} has a non-finite entry")
+    return values.view(complex).reshape(2**k, 2**k)
+
+
 def parse_matrix_literal(text: str) -> np.ndarray:
-    values = [float(tok) for tok in text.split(",")]
-    if len(values) == 8:
-        dim = 2
-    elif len(values) == 32:
-        dim = 4
-    else:
-        raise ValueError("matrix literal needs 8 (2x2) or 32 (4x4) comma-separated reals")
-    return np.array(values).view(complex).reshape(dim, dim)
+    return _square(map(float, text.split(",")), float, "matrix literal")
+
+
+def _tokens(fh):
+    """Whitespace-separated tokens of a text file, read 64 KiB at a time."""
+    tail = ""
+    while chunk := fh.read(1 << 16):
+        tokens = (tail + chunk).split()
+        tail = "" if chunk[-1].isspace() else tokens.pop()  # may go on in the next chunk
+        yield from tokens
+    yield from tail.split()
 
 
 def load_matrix_file(path: str) -> np.ndarray:
     with open(path) as fh:
-        tokens = fh.read().split()
-    entries = np.array([complex(tok) for tok in tokens])
-    if len(entries) == 4:
-        return entries.reshape(2, 2)
-    if len(entries) == 16:
-        return entries.reshape(4, 4)
-    raise ValueError(f"{path}: expected 4 or 16 complex entries, got {len(entries)}")
+        return _square(map(complex, _tokens(fh)), complex, path)
 
 
 def parse_gate_spec(spec: str, rng: np.random.Generator | None = None) -> np.ndarray:
@@ -116,17 +130,13 @@ def parse_gate_spec(spec: str, rng: np.random.Generator | None = None) -> np.nda
             raise ValueError("'random' gate requested without a seeded generator")
         return random_unitary(2, rng)
     if "," in spec:
-        matrix = parse_matrix_literal(spec)
-    else:
-        try:
-            return parse_gate_expr(spec)
-        except ValueError:
-            if not os.path.exists(spec):
-                raise
-        matrix = load_matrix_file(spec)
-    if not np.isfinite(matrix).all():
-        raise ValueError(f"gate {spec!r} has a non-finite entry")
-    return matrix
+        return parse_matrix_literal(spec)
+    try:
+        return parse_gate_expr(spec)
+    except ValueError:
+        if not os.path.exists(spec):
+            raise
+    return load_matrix_file(spec)
 
 
 def cz_t_instance(eta: float = 0.0, zeta: float = 0.0) -> cz_model.CZInteraction:

@@ -173,14 +173,8 @@ def _suite_l(seed: int, trials: int) -> list[dict]:
     ok = (not locequiv.is_entangling(degenerate_gate)) and np.linalg.norm(degenerate_gate - swap) < 1e-12
     checks.append(_bool_check(suite, "zero-angle instance degenerates to SWAP and is not entangling", ok))
 
-    two_q = swap_model.two_qubit_schedule(l, "sct")
-    one_q = swap_model.single_qubit_schedule(l, 1, "sct")
-    ok = (
-        two_q.interaction_count() == 3
-        and two_q.ancilla_count() == 1
-        and one_q.interaction_count() == 2
-        and one_q.ancilla_count() == 1
-    )
+    schedules = (swap_model.two_qubit_schedule(l, "sct"), swap_model.single_qubit_schedule(l, 1, "sct"))
+    ok = [(s.interaction_count(), s.ancilla_count()) for s in schedules] == [(3, 1), (2, 1)]
     checks.append(_bool_check(suite, "schedules use 3 interactions per entangling gate and 2 per single-qubit gate", ok))
 
     residual = 0.0
@@ -334,16 +328,15 @@ def cmd_verify(args) -> int:
 def cmd_synth(args) -> int:
     start = time.perf_counter()
     rng = np.random.default_rng(args.seed)
-    parts = args.gens.split(",")
+    parts = [part.strip() for part in args.gens.split(",")]
     if len(parts) != 2:
         raise ValueError("--gens expects two comma-separated gate expressions")
-    g0 = catalog.parse_gate_spec(parts[0].strip(), rng)
-    g1 = catalog.parse_gate_spec(parts[1].strip(), rng)
+    g0, g1 = (catalog.parse_gate_spec(part, rng) for part in parts)
     target = catalog.parse_gate_spec(args.target, rng)
     diagnostic = synth.universality_diagnostic(g0, g1)
     report = {
         **_header("synth"),
-        "generators": [parts[0].strip(), parts[1].strip()],
+        "generators": parts,
         "target": args.target,
         "epsilon": args.eps,
         "max_len": args.max_len,
@@ -381,8 +374,7 @@ def cmd_schedule(args) -> int:
     start = time.perf_counter()
     tol = _schedule_tolerance(args.tol)
     with open(args.file) as fh:
-        text = fh.read()
-    schedule = schedule_from_text(text, catalog.standard_interactions())
+        schedule = schedule_from_text(fh.read(), catalog.standard_interactions())
     claimed = catalog.parse_gate_spec(args.claimed)
     reg_dim = 2**schedule.register_size
     if claimed.shape != (reg_dim, reg_dim):
@@ -456,8 +448,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_schedule = sub.add_parser("schedule", help="simulate a schedule file and compare to a claimed gate")
     p_schedule.add_argument("file", help="schedule file (REGISTER/PREP/INT lines)")
-    p_schedule.add_argument("--claimed", required=True, help="gate expression, matrix literal, or a file path "
-                            "(read only when the spec is not a gate expression, so ./T names a file, T the gate)")
+    p_schedule.add_argument("--claimed", required=True, help="the n-qubit register's gate: a gate expression, a matrix "
+                            "literal of 2*4^n reals, or a path to a file of 4^n complex entries (read only when the "
+                            "spec is not a gate expression, so ./T names a file, T the gate)")
     p_schedule.add_argument("--tol", type=float, default=None, help="tolerance (default: MINQC_TOL or 1e-9)")
     p_schedule.set_defaults(func=cmd_schedule)
     return parser

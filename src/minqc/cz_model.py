@@ -96,9 +96,7 @@ def entangling_gate(interaction: CZInteraction) -> np.ndarray:
     return induced
 
 
-def single_qubit_schedule(
-    interaction: CZInteraction, bit: int, interaction_name: str = "cz"
-) -> Schedule:
+def single_qubit_schedule(interaction: CZInteraction, bit: int, interaction_name: str = "cz") -> Schedule:
     """One interaction with one prepared ancilla applies gate0 or gate1."""
     return Schedule(
         register_size=1,
@@ -108,11 +106,7 @@ def single_qubit_schedule(
     )
 
 
-def two_qubit_schedule(
-    interaction: CZInteraction,
-    word: GateWord,
-    interaction_name: str = "cz",
-) -> Schedule:
+def two_qubit_schedule(interaction: CZInteraction, word: GateWord, interaction_name: str = "cz") -> Schedule:
     """Full minimal-control schedule for the induced entangling gate.
 
     Register qubit 1 plays the first role (j) and qubit 0 the second (k), so

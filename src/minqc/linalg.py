@@ -28,7 +28,9 @@ def as_matrix(m) -> np.ndarray:
 def is_unitary(m: np.ndarray) -> bool:
     m = as_matrix(m)
     with np.errstate(over="ignore", invalid="ignore"):  # huge entries are simply not unitary
-        return bool(np.linalg.norm(m.conj().T @ m - np.eye(m.shape[0])) < UNITARY_ATOL)
+        gram = m.conj().T @ m
+        gram.reshape(-1)[:: len(m) + 1] -= 1  # m^dag m - I in place: a fresh product is C-contiguous
+        return bool(np.linalg.norm(gram) < UNITARY_ATOL)
 
 
 def require_unitary(m: np.ndarray, name: str = "matrix") -> np.ndarray:
@@ -72,9 +74,13 @@ def dist_phase(a: np.ndarray, b: np.ndarray) -> float:
     if a.shape != b.shape:
         raise DimensionMismatch(f"shape mismatch: {a.shape} vs {b.shape}")
     overlap = np.vdot(b, a)
-    if abs(overlap) > 0:
-        b = b * (overlap / abs(overlap))
-    return float(np.linalg.norm(a - b))
+    mag = abs(overlap)
+    # one full-size temporary, laid out as numpy lays out a - b (C unless both are
+    # Fortran) so the norm sums in the same order: the phase-aligned b, less a in place
+    order = "A" if a.flags.f_contiguous else "C"
+    diff = np.multiply(b, overlap / mag, order=order) if mag > 0 else np.array(b, order=order)
+    diff -= a  # b - a is -(a - b) exactly, so the norm has the same bits
+    return float(np.linalg.norm(diff))
 
 
 def exit_residual(op: np.ndarray, gate: np.ndarray, anc_in: np.ndarray, anc_out: np.ndarray) -> float:

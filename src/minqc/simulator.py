@@ -320,7 +320,6 @@ def _detach(states: np.ndarray, position: int, reference: np.ndarray | None, cou
 
 def verify_against(report: RunReport, claimed: np.ndarray, tol: float, label: str = "claimed") -> bool:
     """Phase-insensitive comparison of the induced register operator."""
-    claimed = np.asarray(claimed, dtype=complex)
     residual = dist_phase(report.register_unitary, claimed)
     report.residuals[label] = residual
     return residual < tol

@@ -127,9 +127,7 @@ def cnot_power_residual(interaction: SwapInteraction) -> float:
     return dist_phase(np.linalg.matrix_power(n, 4), cnot_low_control)
 
 
-def single_qubit_schedule(
-    interaction: SwapInteraction, bit: int, interaction_name: str = "swap"
-) -> Schedule:
+def single_qubit_schedule(interaction: SwapInteraction, bit: int, interaction_name: str = "swap") -> Schedule:
     """Two interactions with one ancilla apply gate0 or gate1."""
     return Schedule(
         register_size=1,
@@ -139,9 +137,7 @@ def single_qubit_schedule(
     )
 
 
-def two_qubit_schedule(
-    interaction: SwapInteraction, interaction_name: str = "swap"
-) -> Schedule:
+def two_qubit_schedule(interaction: SwapInteraction, interaction_name: str = "swap") -> Schedule:
     """Three interactions (j, k, j) with one |0>-prepared ancilla.
 
     Register qubit 1 plays the first role (j) and qubit 0 the second (k), so

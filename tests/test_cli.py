@@ -5,7 +5,10 @@ import numpy as np
 import pytest
 from importlib import resources
 
-from minqc import cli
+from minqc import cli, swap_model
+from minqc.catalog import sct_instance
+from minqc.gates import I2
+from minqc.simulator import MAX_REGISTER_QUBITS
 
 
 def run_cli(capsys, argv):
@@ -170,6 +173,19 @@ def test_schedule_env_tolerance_override(capsys, monkeypatch):
     assert json.loads(out)["tolerance"] == 10.0
 
 
+def test_schedule_checks_a_three_qubit_register(capsys, tmp_path):
+    # one size rule for every register: an 8x8 claim is a file of 64 entries
+    sched = tmp_path / "sct3.sched"
+    sched.write_text("REGISTER 3\nPREP a0 0\nINT sct 2 a0\nINT sct 1 a0\nINT sct 2 a0\n")
+    claimed = tmp_path / "sct3.mat"
+    gate = np.kron(swap_model.entangling_gate(sct_instance()), I2)
+    claimed.write_text("".join(" ".join(map(repr, row.tolist())) + "\n" for row in gate))
+    code, out, _ = run_cli(capsys, ["schedule", str(sched), "--claimed", str(claimed)])
+    assert code == 0
+    report = json.loads(out)
+    assert report["pass"] and report["register_size"] == 3 and report["residual"] < 1e-12
+
+
 SCT1 = data_path("sct_single_qubit_1.sched")
 
 
@@ -202,13 +218,16 @@ def _unreachable(*args, **kwargs):
         (["schedule", SCT1, "--claimed", "1e300,0,0,0,0,0,1,0"], None, 2, "not unitary"),
         (["synth", "--gens", "T,HT", "--target", "1e300,0,0,0,0,0,1,0", "--eps", "0.1"], None, 2, "not unitary"),
         (["synth", "--gens", "T,HT", "--target", "CNOT", "--eps", "0.1"], None, 2, "2x2"),
+        (["schedule", SCT1, "--claimed", ",".join(["0"] * 18)], None, 2, "2*4^k comma-separated reals"),
+        (["schedule", SCT1, "--claimed", "EIGHT_MAT"], None, 2, "4^k complex entries for 1 <= k <= 12, got 8"),
+        (["schedule", SCT1, "--claimed", "HUGE_MAT"], None, 2, "got 16777217"),
     ],
     ids=[
         "non-unitary-target", "bad-env-tol", "claim-dimension", "negative-eps", "nan-eps", "entangled-exit",
         "nan-tol", "negative-tol", "inf-tol", "nan-env-tol", "zero-env-tol",
         "nan-angle", "inf-angle", "overflowing-angle", "nan-literal", "inf-literal", "nan-matrix-file",
         "inf-angle-generator", "non-unitary-claim", "overflowing-claim", "overflowing-target",
-        "4x4-target",
+        "4x4-target", "18-real-literal", "8-entry-file", "oversized-file",
     ],
 )
 def test_error_paths_exit_without_traceback(capsys, monkeypatch, recwarn, tmp_path, argv, env_tol, expected, fragment):
@@ -216,11 +235,17 @@ def test_error_paths_exit_without_traceback(capsys, monkeypatch, recwarn, tmp_pa
     entangled.write_text("REGISTER 2\nPREP a 0\nINT cz_plain 0 a\nINT cz_plain 1 a\n")
     nan_mat = tmp_path / "nan.mat"
     nan_mat.write_text("nan 0j\n0j (1+0j)\n")
+    eight_mat = tmp_path / "eight.mat"
+    eight_mat.write_text("1 0 0 1\n0 1 1 0\n")
+    huge_mat = tmp_path / "huge.mat"
+    if "HUGE_MAT" in argv:  # one entry past the largest register's 4^12, so the reader stops there
+        huge_mat.write_text("0 " * (4**MAX_REGISTER_QUBITS + 1))
     if env_tol is not None:
         monkeypatch.setenv("MINQC_TOL", env_tol)
     if expected == 2:  # input errors are caught before any simulation
         monkeypatch.setattr(cli, "run_schedule", _unreachable)
-    placeholders = {"ENTANGLED": str(entangled), "NAN_MAT": str(nan_mat)}
+    placeholders = {"ENTANGLED": str(entangled), "NAN_MAT": str(nan_mat), "EIGHT_MAT": str(eight_mat),
+                    "HUGE_MAT": str(huge_mat)}
     argv = [placeholders.get(a, a) for a in argv]
     code, out, err = run_cli(capsys, argv)
     assert code == expected

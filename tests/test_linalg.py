@@ -1,13 +1,17 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from minqc.errors import BadTargets, DimensionMismatch, NonHermitianInput
 from minqc.gates import I2, X, Z, cz_gate, hadamard
 from minqc.linalg import (
+    UNITARY_ATOL,
     apply_gate,
     dist_phase,
     embed_gate,
     herm_exp,
+    is_unitary,
     random_unitary,
     tensor,
 )
@@ -144,6 +148,45 @@ def test_dist_phase_takes_any_equal_shape_arrays():
     assert dist_phase(vec, vec.conj()) > 1e-3
     with pytest.raises(DimensionMismatch):
         dist_phase(stack, stack.T)
+
+
+def _plain_dist_phase(a, b):
+    """dist_phase as the plain expression: a minus the phase-aligned b."""
+    overlap = np.vdot(b, a)
+    if abs(overlap) > 0:
+        b = b * (overlap / abs(overlap))
+    return float(np.linalg.norm(a - b))
+
+
+def test_in_place_checks_round_as_the_plain_expressions():
+    # dist_phase subtracts in place and is_unitary takes I off the product's
+    # diagonal in place; both round as the plain expressions in every layout
+    rng = np.random.default_rng(23)
+    for n in (1, 2, 3, 4, 8, 16, 64):
+        u, v = random_unitary(n, rng), random_unitary(n, rng)
+        for a, b in ((u, v), (u.T, v), (u, v.T), (u.T, v.T), (u[:, ::-1], v), (u, np.zeros_like(u)), (u[0], v[0])):
+            assert dist_phase(a, b).hex() == _plain_dist_phase(a, b).hex()
+        noise = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        for scale in np.geomspace(1e-14, 1e-11, 13):
+            m = u + scale * noise
+            assert is_unitary(m) == (np.linalg.norm(m.conj().T @ m - np.eye(n)) < UNITARY_ATOL)
+
+
+def test_dense_checks_make_one_full_size_temporary():
+    rng = np.random.default_rng(29)
+    u = np.kron(random_unitary(16, rng), random_unitary(16, rng))  # 256 x 256: 1 MiB
+    v = u[::-1].copy()
+    tracemalloc.start()
+    try:
+        dist_phase(u, v)
+        dist_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        is_unitary(u)
+        unitary_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert dist_peak < 1.5 * u.nbytes  # the phase-aligned copy (the plain expression makes two)
+    assert unitary_peak < 2.25 * u.nbytes  # the conjugate and the product (I and a difference would add 1.5)
 
 
 def basis(n, index):
