@@ -5,7 +5,9 @@ T.H.T) with optional phase gates "R(<radians>)", the angle finite.  Matrix
 literals are comma-separated reals, (re, im) per entry row-major; matrix
 files hold whitespace-separated complex entries (Python literal syntax) in
 any layout.  Both hold 4^k finite entries, a 2^k x 2^k matrix, for 1 <= k
-<= MAX_REGISTER_QUBITS (the simulator's register cap).
+<= MAX_REGISTER_QUBITS (the simulator's register cap).  A token that is no
+number is reported with the input and its position among the tokens (reals
+in a literal, entries in a file), counting from 1.
 """
 from __future__ import annotations
 
@@ -86,12 +88,22 @@ def parse_gate_expr(expr: str) -> np.ndarray:
     return out
 
 
-def _square(numbers, dtype: type, what: str) -> np.ndarray:
-    """The 2^k x 2^k matrix that ``numbers`` fill row-major, as complex entries
-    or (re, im) pairs of floats, under the rule of the module docstring.
-    Reading stops one number past the largest size."""
+def _square(tokens, dtype: type, what: str) -> np.ndarray:
+    """The 2^k x 2^k matrix whose entries ``tokens()`` lists row-major, as
+    complex entries or (re, im) pairs of floats, under the rule of the module
+    docstring.  Reading stops one number past the largest size.  A token that
+    is no number is named with its position, found by a second pass over
+    ``tokens()`` only when the first fails."""
     per_entry, unit = (2, "2*4^k comma-separated reals") if dtype is float else (1, "4^k complex entries")
-    values = np.fromiter(itertools.islice(numbers, per_entry * 4**MAX_REGISTER_QUBITS + 1), dtype)
+    try:
+        values = np.fromiter(itertools.islice(map(dtype, tokens()), per_entry * 4**MAX_REGISTER_QUBITS + 1), dtype)
+    except ValueError:
+        for i, token in enumerate(tokens(), start=1):
+            try:
+                dtype(token)
+            except ValueError:
+                raise ValueError(f"{what}: entry {i} {token!r} is not a number") from None
+        raise
     k = (len(values) // per_entry).bit_length() // 2
     if len(values) != per_entry * 4**k or not 1 <= k <= MAX_REGISTER_QUBITS:
         raise ValueError(f"{what} needs {unit} for 1 <= k <= {MAX_REGISTER_QUBITS}, got {len(values)}")
@@ -101,22 +113,22 @@ def _square(numbers, dtype: type, what: str) -> np.ndarray:
 
 
 def parse_matrix_literal(text: str) -> np.ndarray:
-    return _square(map(float, text.split(",")), float, "matrix literal")
+    return _square(lambda: text.split(","), float, "matrix literal")
 
 
-def _tokens(fh):
+def _tokens(path: str):
     """Whitespace-separated tokens of a text file, read 64 KiB at a time."""
-    tail = ""
-    while chunk := fh.read(1 << 16):
-        tokens = (tail + chunk).split()
-        tail = "" if chunk[-1].isspace() else tokens.pop()  # may go on in the next chunk
-        yield from tokens
-    yield from tail.split()
+    with open(path) as fh:
+        tail = ""
+        while chunk := fh.read(1 << 16):
+            tokens = (tail + chunk).split()
+            tail = "" if chunk[-1].isspace() else tokens.pop()  # may go on in the next chunk
+            yield from tokens
+        yield from tail.split()
 
 
 def load_matrix_file(path: str) -> np.ndarray:
-    with open(path) as fh:
-        return _square(map(complex, _tokens(fh)), complex, path)
+    return _square(lambda: _tokens(path), complex, path)
 
 
 def parse_gate_spec(spec: str, rng: np.random.Generator | None = None) -> np.ndarray:

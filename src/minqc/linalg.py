@@ -102,6 +102,9 @@ def apply_gate(state: np.ndarray, g: np.ndarray, targets: list[int], *, stack: i
     one product.  Returns an array of the same shape.  ``targets[0]``
     addresses the highest-index qubit slot of ``g``, matching the ``tensor``
     convention; order is significant for non-symmetric gates.
+
+    The product is :func:`apply_in_layout` on the state's own axis order,
+    followed by one transpose back to that order.
     """
     g = as_matrix(g)
     state = np.asarray(state)
@@ -114,12 +117,33 @@ def apply_gate(state: np.ndarray, g: np.ndarray, targets: list[int], *, stack: i
         raise BadTargets(f"gate dimension {g.shape[0]} does not match {m} targets")
     if len(set(targets)) != m or any(not (0 <= t < n) for t in targets):
         raise BadTargets(f"targets {targets} invalid for {n} qubits")
-    # axis for qubit q in the reshaped tensor is stack+n-1-q (row-major, little-endian)
-    axes = [stack + n - 1 - t for t in targets]
-    order = [*range(stack), *axes, *(a for a in range(stack, stack + n + 1) if a not in axes)]
-    moved = state.reshape(lead + (2,) * n + (-1,)).transpose(order)
-    block = g @ moved.reshape(lead + (2**m, -1))
-    return block.reshape(moved.shape).transpose(np.argsort(order)).reshape(state.shape)
+    # axis for qubit q in the reshaped tensor is n-1-q (row-major, little-endian)
+    product, layout = apply_in_layout(
+        state.reshape(lead + (2,) * n + (-1,)), list(range(n + 1)), g, [n - 1 - t for t in targets], stack=stack
+    )
+    back = list(range(stack + n + 1))  # a loop: np.argsort costs several times more on so short a list
+    for k, a in enumerate(layout, stack):
+        back[stack + a] = k
+    return product.transpose(back).reshape(state.shape)
+
+
+def apply_in_layout(
+    block: np.ndarray, layout: list[int], g: np.ndarray, axes: list[int], *, stack: int = 0
+) -> tuple[np.ndarray, list[int]]:
+    """The product of ``g`` with ``axes`` of ``block``, and the product's layout.
+
+    Past its first ``stack`` axes, axis ``stack + k`` of ``block`` holds
+    logical axis ``layout[k]``.  The target axes, named logically and in
+    ``g``'s slot order, move to the front in one copy and take one product
+    with ``g``.  The product stays in that order: its layout is the targets,
+    then the other axes in their previous order.  A caller that applies
+    several gates keeps the returned layout and transposes once at the end.
+    """
+    where = [layout.index(a) for a in axes]
+    order = where + [k for k in range(len(layout)) if k not in where]
+    moved = block.transpose(list(range(stack)) + [stack + k for k in order])
+    product = g @ moved.reshape(block.shape[:stack] + (len(g), -1))
+    return product.reshape(moved.shape), [layout[k] for k in order]
 
 
 def embed_gate(g: np.ndarray, targets: list[int], num_qubits: int) -> np.ndarray:

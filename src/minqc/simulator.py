@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import AncillaEntangledAtExit, ScheduleInvalid, ScheduleParseError
-from .linalg import apply_gate, dist_phase
+from .linalg import apply_gate, apply_in_layout, dist_phase
 
 # Purity-deficit bands: below DECOUPLE_ATOL is clean product form, between the
 # two the run proceeds with a warning, above WARN_ATOL the ancilla is declared
@@ -131,6 +131,13 @@ def run(schedule: Schedule, prep_overrides: dict[str, np.ndarray] | None = None)
     :class:`AncillaEntangledAtExit` is raised naming the offending step, the
     segment's register qubits and the sub-register input.
 
+    A segment that repeats an earlier one of the same call (the same
+    interactions on the same local qubits, ancilla slots, last uses and
+    preparations, and the same stack runs) is simulated once: the repeat
+    reuses its operator, exit states and deficits, and its warnings name the
+    repeat's own ancillas, so every bit is that of simulating it again.
+    Nothing is kept between calls.
+
     ``prep_overrides`` replaces selected ancillas' computational-basis
     preparations with arbitrary pure states (used to probe preparation
     freedom); overridden ancillas keep their schedule entry otherwise.  Each
@@ -139,12 +146,33 @@ def run(schedule: Schedule, prep_overrides: dict[str, np.ndarray] | None = None)
     """
     last_use, segments = schedule.validate()
     preps = _prep_states(schedule, prep_overrides or {})
-    # the segments fill in the ancilla fields; the operator is composed last
     report = RunReport(np.empty((0, 0), dtype=complex), {}, {})
-    operators = [
-        (_run_segment(schedule, preps, last_use, report, start, stop, qubits, live_qubits), qubits)
-        for start, stop, qubits, live_qubits in segments
-    ]
+    simulated: dict[tuple, tuple] = {}
+    operators = []
+    for segment in segments:
+        start, stop, qubits, live_qubits = segment
+        steps = schedule.steps[start:stop]
+        ancillas = list(dict.fromkeys(step.ancilla for step in steps))  # slot order: first use
+        slot = {a: s for s, a in enumerate(ancillas)}
+        local = {q: j for j, q in enumerate(qubits)}
+        key = (
+            len(qubits),
+            live_qubits,
+            tuple(
+                (step.interaction, local[step.register_qubit], slot[step.ancilla], last_use[step.ancilla] == i)
+                for i, step in enumerate(steps, start)
+            ),
+            tuple(preps[a].tobytes() for a in ancillas),
+        )
+        if key not in simulated:
+            simulated[key] = _run_segment(schedule, preps, last_use, segment, slot)
+        operator, exit_states, deficits, above_clean = simulated[key]
+        report.purity_deficits.update({a: deficits[slot[a]] for a in schedule.preps if a in slot})
+        report.ancilla_exit_states.update({ancillas[s]: chi.copy() for s, chi in exit_states})
+        report.warnings.extend(
+            f"ancilla {ancillas[s]!r}: purity deficit {deficit:.3e} above clean threshold" for s, deficit in above_clean
+        )
+        operators.append((operator, qubits))
     report.register_unitary = _compose(operators, schedule.register_size)
     return report
 
@@ -191,29 +219,28 @@ def _run_segment(
     schedule: Schedule,
     preps: dict[str, np.ndarray],
     last_use: dict[str, int],
-    report: RunReport,
-    start: int,
-    stop: int,
-    qubits: tuple[int, ...],
-    live_qubits: int,
-) -> np.ndarray:
+    segment: tuple[int, int, tuple[int, ...], int],
+    slot: dict[str, int],
+) -> tuple:
     """Run ``steps[start:stop]``, a segment, on the sub-register ``qubits``.
 
     Simulates the steps on the 2^k basis inputs of the segment's k register
     qubits (sub-register qubit j is register qubit ``qubits[j]``), stacked in
     runs of 2^(MAX_LIVE_QUBITS - ``live_qubits``) consecutive inputs, and
-    returns the 2^k x 2^k operator they induce.  The exit states, deficits
-    and warnings (in input, step order) of the segment's ancillas go into
-    ``report``; a rejection names the lowest failing input at its first
-    failing step, as one input at a time would.
+    returns (the 2^k x 2^k operator they induce, [(slot, exit state)] in
+    detach order, the deficit of each slot, [(slot, deficit)] for each
+    deficit above the clean threshold in input, step order), with the
+    segment's ancillas named by ``slot``.  A rejection names the lowest
+    failing input at its first failing step, as one input at a time would.
     """
+    start, stop, qubits, live_qubits = segment
     steps = schedule.steps[start:stop]
     local = {q: j for j, q in enumerate(qubits)}
     sub_dim = 2 ** len(qubits)
     operator = np.empty((sub_dim, sub_dim), dtype=complex)
-    exit_states = report.ancilla_exit_states
-    deficits = report.purity_deficits
-    deficits.update({a: 0.0 for a in schedule.preps if start <= last_use[a] < stop})
+    exit_states: dict[int, np.ndarray] = {}  # by slot, in detach order
+    deficits = [0.0] * len(slot)
+    above_clean: list[tuple[int, float]] = []
 
     chunk = 2 ** (MAX_LIVE_QUBITS - live_qubits)
     for lo in range(0, sub_dim, chunk):
@@ -221,7 +248,7 @@ def _run_segment(
         live: list[str] = []  # attached ancillas; live[p] sits on qubit len(qubits) + p
         # row `failed` holds the lowest rejected input so far; the rows past it go unchecked
         failed, error = len(state), None
-        warnings: list[list[str]] = [[] for _ in state]
+        warnings: list[list[tuple[int, float]]] = [[] for _ in state]
 
         for i, step in enumerate(steps, start):
             if step.ancilla not in live:
@@ -234,7 +261,8 @@ def _run_segment(
 
             if last_use[step.ancilla] == i:
                 live.remove(step.ancilla)
-                state, chi, input_deficits = _detach(state, position, exit_states.get(step.ancilla), failed)
+                s = slot[step.ancilla]
+                state, chi, input_deficits = _detach(state, position, exit_states.get(s), failed)
                 for c, (own_deficit, ref_deficit) in enumerate(input_deficits):
                     if max(own_deficit, ref_deficit) >= WARN_ATOL:
                         where = f"sub-register input {lo + c} of register qubits {list(qubits)}"
@@ -248,28 +276,21 @@ def _run_segment(
                         break
                     deficit = max(own_deficit, ref_deficit)
                     if deficit >= DECOUPLE_ATOL:
-                        warnings[c].append(
-                            f"ancilla {step.ancilla!r}: purity deficit {deficit:.3e} above clean threshold"
-                        )
-                    deficits[step.ancilla] = max(deficits[step.ancilla], deficit)
-                exit_states.setdefault(step.ancilla, chi)
+                        warnings[c].append((s, deficit))
+                    deficits[s] = max(deficits[s], deficit)
+                exit_states.setdefault(s, chi)
 
         if error is not None:
             raise error
-        report.warnings.extend(w for input_warnings in warnings for w in input_warnings)
+        above_clean.extend(w for input_warnings in warnings for w in input_warnings)
         operator[:, lo:lo + len(state)] = state.T
 
-    return operator
+    return operator, list(exit_states.items()), deficits, above_clean
 
 
-def _compose(operators: list[tuple[np.ndarray, tuple[int, ...]]], register_size: int) -> np.ndarray:
-    """Register operator of the segment operators applied in order.
-
-    Consecutive operators are first fused while their joint qubits number at
-    most ``FUSE_QUBITS``, which cuts the passes over the register operator.
-    The register operator is then built ``COLUMN_BLOCK`` columns at a time, so
-    each block stays in cache while every fused operator is applied to it.
-    """
+def _fuse(operators: list[tuple[np.ndarray, tuple[int, ...]]]) -> list[tuple[np.ndarray, tuple[int, ...]]]:
+    """Fuse consecutive operators while their joint qubits number at most
+    ``FUSE_QUBITS``, which cuts the passes over the register operator."""
     fused: list[tuple[np.ndarray, tuple[int, ...]]] = []
     for operator, qubits in operators:
         if fused:
@@ -283,15 +304,30 @@ def _compose(operators: list[tuple[np.ndarray, tuple[int, ...]]], register_size:
                 fused[-1] = (product, joint)
                 continue
         fused.append((operator, qubits))
+    return fused
 
+
+def _compose(operators: list[tuple[np.ndarray, tuple[int, ...]]], register_size: int) -> np.ndarray:
+    """Register operator of the segment operators applied in order.
+
+    The operators are first fused (:func:`_fuse`).  The register operator is
+    then built ``COLUMN_BLOCK`` columns at a time, so each block stays in
+    cache while every fused operator is applied to it.  A block stays in the
+    axis order its last product left (:func:`~minqc.linalg.apply_in_layout`)
+    and is transposed into the register operator once, after its last product.
+    """
+    fused = _fuse(operators)
     reg_dim = 2**register_size
     width = min(reg_dim, COLUMN_BLOCK)
+    tensor_shape = (2,) * register_size + (width,)  # axis n-1-q holds qubit q, the last the columns
     register_unitary = np.empty((reg_dim, reg_dim), dtype=complex)
     for col in range(0, reg_dim, width):
-        block = np.eye(reg_dim, width, -col, dtype=complex)
+        block = np.eye(reg_dim, width, -col, dtype=complex).reshape(tensor_shape)
+        layout = list(range(register_size + 1))
         for operator, qubits in fused:
-            block = apply_gate(block, operator, qubits[::-1])
-        register_unitary[:, col:col + width] = block
+            block, layout = apply_in_layout(block, layout, operator, [register_size - 1 - q for q in reversed(qubits)])
+        # splitting the row axis of the column slice is a view, so this writes the slice
+        register_unitary[:, col:col + width].reshape(tensor_shape).transpose(layout)[...] = block
     return register_unitary
 
 

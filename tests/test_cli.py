@@ -221,13 +221,16 @@ def _unreachable(*args, **kwargs):
         (["schedule", SCT1, "--claimed", ",".join(["0"] * 18)], None, 2, "2*4^k comma-separated reals"),
         (["schedule", SCT1, "--claimed", "EIGHT_MAT"], None, 2, "4^k complex entries for 1 <= k <= 12, got 8"),
         (["schedule", SCT1, "--claimed", "HUGE_MAT"], None, 2, "got 16777217"),
+        (["schedule", SCT1, "--claimed", "1,0,0,0,0,0,1,x"], None, 2, "matrix literal: entry 8 'x' is not a number"),
+        (["schedule", SCT1, "--claimed", "BAD_MAT"], None, 2, "bad.mat: entry 4 '1x' is not a number"),
     ],
     ids=[
         "non-unitary-target", "bad-env-tol", "claim-dimension", "negative-eps", "nan-eps", "entangled-exit",
         "nan-tol", "negative-tol", "inf-tol", "nan-env-tol", "zero-env-tol",
         "nan-angle", "inf-angle", "overflowing-angle", "nan-literal", "inf-literal", "nan-matrix-file",
         "inf-angle-generator", "non-unitary-claim", "overflowing-claim", "overflowing-target",
-        "4x4-target", "18-real-literal", "8-entry-file", "oversized-file",
+        "4x4-target", "18-real-literal", "8-entry-file", "oversized-file", "malformed-literal-entry",
+        "malformed-file-entry",
     ],
 )
 def test_error_paths_exit_without_traceback(capsys, monkeypatch, recwarn, tmp_path, argv, env_tol, expected, fragment):
@@ -237,6 +240,8 @@ def test_error_paths_exit_without_traceback(capsys, monkeypatch, recwarn, tmp_pa
     nan_mat.write_text("nan 0j\n0j (1+0j)\n")
     eight_mat = tmp_path / "eight.mat"
     eight_mat.write_text("1 0 0 1\n0 1 1 0\n")
+    bad_mat = tmp_path / "bad.mat"
+    bad_mat.write_text("1 0\n0 1x")
     huge_mat = tmp_path / "huge.mat"
     if "HUGE_MAT" in argv:  # one entry past the largest register's 4^12, so the reader stops there
         huge_mat.write_text("0 " * (4**MAX_REGISTER_QUBITS + 1))
@@ -245,7 +250,7 @@ def test_error_paths_exit_without_traceback(capsys, monkeypatch, recwarn, tmp_pa
     if expected == 2:  # input errors are caught before any simulation
         monkeypatch.setattr(cli, "run_schedule", _unreachable)
     placeholders = {"ENTANGLED": str(entangled), "NAN_MAT": str(nan_mat), "EIGHT_MAT": str(eight_mat),
-                    "HUGE_MAT": str(huge_mat)}
+                    "BAD_MAT": str(bad_mat), "HUGE_MAT": str(huge_mat)}
     argv = [placeholders.get(a, a) for a in argv]
     code, out, err = run_cli(capsys, argv)
     assert code == expected

@@ -13,6 +13,7 @@ same bits, messages and warnings.
 """
 import tracemalloc
 from importlib import resources
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -202,9 +203,23 @@ NEARLY_SWAPS = Schedule(
 )
 
 
+# Repeats of one segment, which ``run`` simulates once.  Two equal CZ-T
+# selections whose preparations differ only by an override: the second is
+# no repeat of the first.  And NEARLY_SWAPS again on qubits 2 and 3, whose
+# warnings name its own ancillas c and d.
+TWO_SELECTIONS = Schedule(2, {"a": 0, "b": 0}, [Step("cz_t", 0, "a"), Step("cz_t", 1, "b")], INTERACTIONS)
+NEARLY_SWAPS_TWICE = Schedule(
+    4, {"a": 0, "b": 0, "c": 0, "d": 0},
+    NEARLY_SWAPS.steps + [Step("ns", 2, "c"), Step("ns", 3, "d"), Step("ns", 2, "c")],
+    NEARLY_SWAPS.interactions,
+)
+
+
 @settings(max_examples=200, deadline=None)
 @given(schedules(), st.integers(0, 2))
 @example(drawn=(NEARLY_SWAPS, {}), slack=2)
+@example(drawn=(TWO_SELECTIONS, {"b": OVERRIDES[0]}), slack=0)
+@example(drawn=(NEARLY_SWAPS_TWICE, {}), slack=0)
 def test_stacked_inputs_match_one_input_at_a_time(drawn, slack):
     # a live-qubit cap `slack` above the schedule's peak cuts the largest
     # segments' stacks into runs of 2^slack inputs
@@ -316,6 +331,31 @@ INT sct 2 h
     monkeypatch.setattr(simulator, "COLUMN_BLOCK", column_block)
     unitary, _, _ = dense_reference(schedule, {})
     assert dist_phase(run(schedule).register_unitary, unitary) <= 1e-12
+
+
+@pytest.mark.parametrize("fuse_qubits, column_block", [(1, 2), (2, 4), (4, 64)])
+def test_compose_matches_one_apply_gate_per_fused_operator(monkeypatch, fuse_qubits, column_block):
+    # the column-block loop with every product transposed back to qubit order
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    from workloads import random_schedule
+
+    monkeypatch.setattr(simulator, "FUSE_QUBITS", fuse_qubits)
+    monkeypatch.setattr(simulator, "COLUMN_BLOCK", column_block)
+    for n in range(5, 9):
+        schedule = schedule_from_text(random_schedule(n, np.random.default_rng(n))[0], INTERACTIONS)
+        with mock.patch.object(simulator, "_compose", wraps=simulator._compose) as compose:
+            unitary = run(schedule).register_unitary
+        operators, register_size = compose.call_args.args
+        fused = simulator._fuse(operators)
+        expected = np.empty_like(unitary)
+        width = min(2**n, column_block)
+        for col in range(0, 2**n, width):
+            block = np.eye(2**n, width, -col, dtype=complex)
+            for operator, qubits in fused:
+                block = apply_gate(block, operator, qubits[::-1])
+            expected[:, col:col + width] = block
+        assert register_size == n
+        assert np.array_equal(unitary, expected)
 
 
 def test_interleaved_lifetimes_match_dense_reference():
