@@ -43,6 +43,9 @@ WALL_TIME = re.compile(rb'"wall_time_s": [0-9.e+-]+')
 CLI_CASES = [
     *(["verify", "all", "--seed", seed, "--trials", trials] for seed in ("0", "7") for trials in ("100", "25", "1")),
     ["verify", "all", "--seed", "7", "--trials", "9"],  # between the k-7 (8) and l-9 (10) caps
+    ["verify", "all", "--seed", "3", "--trials", "2"],
+    # a few draws past one block of cli._DRAW_BLOCK (128), so each check crosses a block boundary
+    *(["verify", suite, "--seed", "5", "--trials", "131"] for suite in ("k", "l", "hamiltonian")),
     ["schedule", "cz_t_two_qubit.sched", "--claimed", "cz_t_entangler.mat"],
     ["schedule", "sct_two_qubit.sched", "--claimed", "sct_entangler.mat"],
     ["schedule", "sct_single_qubit_1.sched", "--claimed", "THT"],

@@ -33,7 +33,7 @@ from .gates import (
     swap_gate,
     t_gate,
 )
-from .linalg import random_unitary
+from .linalg import adjoint, random_unitary
 from .simulator import MAX_REGISTER_QUBITS
 
 
@@ -45,7 +45,7 @@ def named_gates() -> dict[str, np.ndarray]:
         "Z": Z,
         "H": hadamard(),
         "T": t_gate(),
-        "Tdg": t_gate().conj().T,
+        "Tdg": adjoint(t_gate()),
         "CZ": cz_gate(),
         "CNOT": cnot_gate(),
         "SWAP": swap_gate(),

@@ -28,7 +28,7 @@ import numpy as np
 from . import __version__, catalog, cz_model, hamiltonian, locequiv, swap_model, synth
 from .errors import AncillaEntangledAtExit, DimensionMismatch, SearchExhausted
 from .gates import I2, Z, cz_gate, hadamard, swap_gate, t_gate
-from .linalg import dist_phase, random_unitary, require_unitary
+from .linalg import adjoint, dist_phase, frobenius, ginibre_unitary, per_matrix, random_unitary, require_unitary
 from .simulator import run as run_schedule
 from .simulator import schedule_from_text, verify_against
 from .synth import GateWord, NOT_UNIVERSAL, PLAUSIBLY_UNIVERSAL, word_product
@@ -37,19 +37,43 @@ SCHEMA_VERSION = "1"
 _SUITE_IDS = {"k": 1, "l": 2, "hamiltonian": 3, "appendix-a": 4, "endnote-a": 5}
 
 
-def _draws(seed: int, suite: str, check_index: int, count: int, draw) -> list:
-    """``count`` calls of ``draw`` on the check's own generator, seeded by
-    (seed, suite, check index), so a check draws the same alone or in ``all``."""
+# Draws that a randomized check evaluates as one stack: memory stays bounded at any --trials.
+_DRAW_BLOCK = 128
+
+
+def _draws(seed: int, suite: str, check_index: int, count: int, draw):
+    """The check's ``count`` draws in blocks of at most ``_DRAW_BLOCK``:
+    ``draw(rng, n)`` gives n draws as stacks, on the check's own generator,
+    seeded by (seed, suite, check index), so a check draws the same alone or
+    in ``all``.  Each draw takes its samples from the generator in the order
+    one draw at a time would, so the blocks leave the stream unchanged."""
     rng = np.random.default_rng([seed, _SUITE_IDS[suite], check_index])
-    return [draw(rng) for _ in range(count)]
+    for start in range(0, count, _DRAW_BLOCK):
+        yield draw(rng, min(_DRAW_BLOCK, count - start))
 
 
-def _unitary_pair(rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    return random_unitary(2, rng), random_unitary(2, rng)
+def _unitary_pairs(rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray]:
+    pairs = random_unitary(2, rng, (n, 2))
+    return pairs[:, 0], pairs[:, 1]
 
 
-def _angle(rng: np.random.Generator) -> float:
-    return rng.uniform(0, 2 * np.pi)
+def _angles(rng: np.random.Generator, n: int) -> np.ndarray:
+    return rng.uniform(0, 2 * np.pi, size=n)
+
+
+def _unitaries_and_angles(rng: np.random.Generator, n: int, angles: int) -> tuple[np.ndarray, np.ndarray]:
+    """n draws, each a 2x2 Haar unitary then ``angles`` uniform angles.  The
+    normals and the uniforms interleave, so the samples are drawn one draw at
+    a time and the unitaries made as one stack."""
+    normals, theta = np.empty((n, 2, 2, 2)), np.empty((n, angles))
+    for i in range(n):
+        normals[i] = rng.standard_normal((2, 2, 2))
+        theta[i] = rng.uniform(0, 2 * np.pi, size=angles)
+    return ginibre_unitary(normals), theta
+
+
+def _swap_parameters(rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray]:
+    return _unitaries_and_angles(rng, n, 3)
 
 
 def _check(suite: str, claim: str, residual: float, tolerance: float) -> dict:
@@ -77,25 +101,26 @@ def _suite_k(seed: int, trials: int) -> list[dict]:
     h = hadamard()
 
     residual = max(
-        cz_model.factorization_residual(cz_model.cz_interaction(u, v)) for u, v in _draws(seed, suite, 0, trials, _unitary_pair)
+        cz_model.factorization_residual(cz_model.cz_interaction(u, v)).max()
+        for u, v in _draws(seed, suite, 0, trials, _unitary_pairs)
     )
     checks.append(_check(suite, "dressed-CZ and ancilla-controlled factorizations agree", residual, cz_model.FACTORIZATION_ATOL))
 
-    interactions = [cz_model.cz_interaction(u, v) for u, v in _draws(seed, suite, 1, trials, _unitary_pair)]
-    residual = max(cz_model.action_residual(k, bit) for k in interactions for bit in (0, 1))
+    interactions = (cz_model.cz_interaction(u, v) for u, v in _draws(seed, suite, 1, trials, _unitary_pairs))
+    residual = max(cz_model.action_residual(k, bit).max() for k in interactions for bit in (0, 1))
     checks.append(_check(suite, "basis-prepared ancilla applies the selected gate, exiting in H|i>", residual, cz_model.ACTION_ATOL))
 
-    sandwiches = [cz_model.sandwich(cz_model.cz_interaction(u, v)) for u, v in _draws(seed, suite, 2, trials, _unitary_pair)]
-    decouple = max(residual for _, _, residual in sandwiches)
+    decouple, invariant_gap, schmidt = [], [], []  # the largest of each block
     cz_inv = locequiv.invariants(cz_gate())
-    invariant_gap = max(locequiv.invariants(induced).distance(cz_inv) for _, induced, _ in sandwiches)
-    schmidt = max(
-        float(np.linalg.svd(seq.reshape(4, 2, 4, 2).transpose(0, 2, 1, 3).reshape(16, 4), compute_uv=False)[1])
-        for seq, _, _ in sandwiches
-    )
-    checks.append(_check(suite, "four-interaction sandwich decouples the mediating ancilla", decouple, cz_model.SANDWICH_ATOL))
-    checks.append(_check(suite, "induced register gate is locally equivalent to CZ", invariant_gap, locequiv.INVARIANT_ATOL))
-    checks.append(_check(suite, "register/ancilla operator Schmidt rank is one", schmidt, 1e-10))
+    for u, v in _draws(seed, suite, 2, trials, _unitary_pairs):
+        seq, induced, residual = cz_model.sandwich(cz_model.cz_interaction(u, v))
+        decouple.append(residual.max())
+        invariant_gap.append(locequiv.invariants(induced).distance(cz_inv).max())
+        register_ancilla = seq.reshape(-1, 4, 2, 4, 2).transpose(0, 1, 3, 2, 4).reshape(-1, 16, 4)
+        schmidt.append(np.linalg.svd(register_ancilla, compute_uv=False)[:, 1].max())
+    checks.append(_check(suite, "four-interaction sandwich decouples the mediating ancilla", max(decouple), cz_model.SANDWICH_ATOL))
+    checks.append(_check(suite, "induced register gate is locally equivalent to CZ", max(invariant_gap), locequiv.INVARIANT_ATOL))
+    checks.append(_check(suite, "register/ancilla operator Schmidt rank is one", max(schmidt), 1e-10))
 
     k = catalog.cz_t_instance()
     residual = max(
@@ -116,17 +141,25 @@ def _suite_k(seed: int, trials: int) -> list[dict]:
     checks.append(_check(suite, "15-ancilla word schedule implements the induced entangler", sim_residual, 1e-9))
     checks.append(_bool_check(suite, "word schedule uses 14 word ancillas plus 1 entangling ancilla, 18 interactions", counts_ok))
 
-    preps = _draws(seed, suite, 7, min(trials, 8), lambda rng: rng.standard_normal(2) + 1j * rng.standard_normal(2))
-    residual = max(dist_phase(run_schedule(schedule, prep_overrides={"e": prep}).register_unitary, induced) for prep in preps)
-    checks.append(_check(suite, "entangling ancilla may be prepared in any pure state", residual, 1e-9))
-
-    def diagonal_instance(rng):
-        u = random_unitary(2, rng)
-        diag = np.diag(np.exp(1j * rng.uniform(0, 2 * np.pi, size=2)))
-        return cz_model.cz_interaction(u, diag @ u.conj().T)
+    def states(rng, n):  # each state its real then its imaginary normals
+        normals = rng.standard_normal((n, 2, 2))
+        return normals[:, 0] + 1j * normals[:, 1]
 
     residual = max(
-        float(np.linalg.norm(k.gate0 @ k.gate1 - k.gate1 @ k.gate0)) for k in _draws(seed, suite, 8, trials, diagonal_instance)
+        dist_phase(run_schedule(schedule, prep_overrides={"e": prep}).register_unitary, induced)
+        for preps in _draws(seed, suite, 7, min(trials, 8), states) for prep in preps
+    )
+    checks.append(_check(suite, "entangling ancilla may be prepared in any pure state", residual, 1e-9))
+
+    def diagonal_instances(rng, n):
+        u, angles = _unitaries_and_angles(rng, n, 2)
+        diag = np.zeros((n, 2, 2), dtype=complex)
+        diag[:, [0, 1], [0, 1]] = np.exp(1j * angles)
+        return cz_model.cz_interaction(u, diag @ adjoint(u))
+
+    residual = max(
+        frobenius(k.gate0 @ k.gate1 - k.gate1 @ k.gate0).max()
+        for k in _draws(seed, suite, 8, trials, diagonal_instances)
     )
     checks.append(_check(suite, "diagonal v.u forces the selected gates to commute", residual, 1e-12))
     return checks
@@ -137,25 +170,31 @@ def _suite_l(seed: int, trials: int) -> list[dict]:
     checks = []
     swap = swap_gate()
 
-    def instance(rng):
-        return swap_model.swap_interaction(random_unitary(2, rng), _angle(rng), _angle(rng), _angle(rng))
+    def instances(rng, n):
+        u, angles = _swap_parameters(rng, n)
+        return swap_model.swap_interaction(u, *angles.T)
 
-    residual = max(swap_model.factorization_residual(l) for l in _draws(seed, suite, 0, trials, instance))
+    residual = max(swap_model.factorization_residual(l).max() for l in _draws(seed, suite, 0, trials, instances))
     checks.append(_check(suite, "swap-phase and ancilla-controlled factorizations agree", residual, swap_model.FACTORIZATION_ATOL))
 
-    residual = max(swap_model.action_residual(l, bit) for l in _draws(seed, suite, 1, trials, instance) for bit in (0, 1))
+    residual = max(
+        swap_model.action_residual(l, bit).max() for l in _draws(seed, suite, 1, trials, instances) for bit in (0, 1)
+    )
     checks.append(_check(suite, "two interactions apply the selected gate, ancilla exiting in u|i>", residual, swap_model.ACTION_ATOL))
 
-    sandwiches = [swap_model.sandwich(l) for l in _draws(seed, suite, 2, trials, instance)]
-    decouple = max(residual for _, residual in sandwiches)
-    entangling_ok = all(locequiv.is_entangling(closed) for closed, _ in sandwiches)
-    checks.append(_check(suite, "three-interaction sequence decouples the ancilla in u|0> and matches the closed form", decouple, swap_model.SANDWICH_ATOL))
-    checks.append(_bool_check(suite, "induced entangler is entangling for nontrivial phase angles", entangling_ok))
+    decouple, entangling, asymmetries = [], [], []  # the largest residual and the verdict of each block
+    for l in _draws(seed, suite, 2, trials, instances):
+        closed, residual = swap_model.sandwich(l)
+        decouple.append(residual.max())
+        entangling.append(locequiv.is_entangling(closed).all())
+        asymmetries.append(per_matrix(dist_phase, closed, swap @ closed @ swap))
+    checks.append(_check(suite, "three-interaction sequence decouples the ancilla in u|0> and matches the closed form", max(decouple), swap_model.SANDWICH_ATOL))
+    checks.append(_bool_check(suite, "induced entangler is entangling for nontrivial phase angles", all(entangling)))
     # exchange symmetry only occurs on a measure-zero parameter set; assert
     # the typical draw is far from it and the SCT instance specifically is
     sct_gate_n = swap_model.entangling_gate(catalog.sct_instance())
     asym = min(
-        float(np.median([dist_phase(closed, swap @ closed @ swap) for closed, _ in sandwiches])),
+        float(np.median(np.concatenate(asymmetries))),
         dist_phase(sct_gate_n, swap @ sct_gate_n @ swap),
     )
     checks.append(_margin_check(suite, "induced entangler is generically asymmetric under register exchange", asym, 0.1))
@@ -178,7 +217,10 @@ def _suite_l(seed: int, trials: int) -> list[dict]:
     checks.append(_bool_check(suite, "schedules use 3 interactions per entangling gate and 2 per single-qubit gate", ok))
 
     residual = 0.0
-    for inst in _draws(seed, suite, 9, min(trials, 10), instance):
+    for inst in (
+        swap_model.swap_interaction(u, *angles)
+        for block in _draws(seed, suite, 9, min(trials, 10), _swap_parameters) for u, angles in zip(*block)
+    ):
         rep = run_schedule(swap_model.two_qubit_schedule(inst, "swap"))
         residual = max(residual, dist_phase(rep.register_unitary, swap_model.entangling_gate(inst)))
         for bit in (0, 1):
@@ -195,15 +237,16 @@ def _suite_hamiltonian(seed: int, trials: int) -> list[dict]:
     residual = max(hamiltonian.evolution_residual(th) for th in np.linspace(0.0, 2 * np.pi, 32, endpoint=False))
     checks.append(_check(suite, "quarter-time evolution matches the swap-phase product form on a 32-angle grid", residual, hamiltonian.EVOLUTION_ATOL))
 
-    angles = _draws(seed, suite, 1, trials, _angle)
-    residual = max(hamiltonian.evolution_residual(th) for th in angles)
-    eig_residual = max(hamiltonian.spectrum_residual(th) for th in angles)
-    checks.append(_check(suite, "product-form identity holds at random angles", residual, hamiltonian.EVOLUTION_ATOL))
-    checks.append(_check(suite, "spectrum is {pi-theta (x2), pi+theta, theta-3pi}", eig_residual, hamiltonian.SPECTRUM_ATOL))
+    residual, eig_residual = [], []  # the largest of each block
+    for th in _draws(seed, suite, 1, trials, _angles):
+        residual.append(hamiltonian.evolution_residual(th).max())
+        eig_residual.append(hamiltonian.spectrum_residual(th).max())
+    checks.append(_check(suite, "product-form identity holds at random angles", max(residual), hamiltonian.EVOLUTION_ATOL))
+    checks.append(_check(suite, "spectrum is {pi-theta (x2), pi+theta, theta-3pi}", max(eig_residual), hamiltonian.SPECTRUM_ATOL))
 
     residual = max(
-        hamiltonian.selected_gate_residuals(hamiltonian.derived_swap_instance(th), th)[0]
-        for th in _draws(seed, suite, 3, trials, _angle)
+        hamiltonian.selected_gate_residuals(hamiltonian.derived_swap_instance(th), th)[0].max()
+        for th in _draws(seed, suite, 3, trials, _angles)
     )
     checks.append(_check(suite, "derived interaction always selects the Hadamard first", residual, hamiltonian.DERIVED_ATOL))
 
@@ -250,15 +293,18 @@ def _suite_universality(seed: int, trials: int) -> list[dict]:
     checks.append(_bool_check(suite, "verdicts: {T,HT} plausibly universal, {Z,T} rejected", verdicts_ok))
 
     residual = max(
-        dist_phase(synth.from_axis_angle(synth.axis_angle(g)), g)
-        for g in _draws(seed, suite, 5, trials, lambda rng: random_unitary(2, rng))
+        per_matrix(dist_phase, synth.from_axis_angle(synth.axis_angle(g)), g).max()
+        for g in _draws(seed, suite, 5, trials, lambda rng, n: random_unitary(2, rng, (n,)))
     )
     checks.append(_check(suite, "axis-angle decomposition reconstructs Haar draws", residual, 1e-11))
+
+    def words(rng, n):
+        return [rng.integers(0, 2, size=int(rng.integers(6, 17))) for _ in range(n)]
 
     worst = 0.0
     mismatch = 0.0
     exhausted = 0
-    for bits in _draws(seed, suite, 6, min(trials, 20), lambda rng: rng.integers(0, 2, size=int(rng.integers(6, 17)))):
+    for bits in (bits for block in _draws(seed, suite, 6, min(trials, 20), words) for bits in block):
         target = word_product(bits, h, tht)
         try:
             word = synth.synthesize(h, tht, target, 1e-8)

@@ -7,6 +7,9 @@ gate1 = u Z v, to the register qubit, with the ancilla always exiting in
 H|i>.  A four-interaction sandwich around inverse-gate words implements an
 entangling register gate locally equivalent to CZ; the words cost two fresh
 ancillas per letter, prepared per the word's bits.
+
+The constructors and residuals take stacks of dressing unitaries along
+leading axes as well, one instance (and one residual) per stacked pair.
 """
 from __future__ import annotations
 
@@ -16,7 +19,7 @@ import numpy as np
 
 from .errors import FactorizationFailure
 from .gates import I2, X, Z, controlled, cz_gate, hadamard
-from .linalg import embed_gate, exit_residual, require_unitary, tensor
+from .linalg import adjoint, embed_gate, exit_residual, frobenius, require_unitary, tensor
 from .simulator import Schedule, Step
 from .synth import GateWord
 
@@ -52,25 +55,25 @@ def cz_interaction(u: np.ndarray, v: np.ndarray) -> CZInteraction:
         u=u, v=v, matrix=tensor(u, hadamard()) @ cz_gate() @ tensor(v, I2),
         gate0=u @ v, gate1=u @ Z @ v,
     )
-    if factorization_residual(interaction) >= FACTORIZATION_ATOL:
+    if np.any(factorization_residual(interaction) >= FACTORIZATION_ATOL):
         raise FactorizationFailure("dressed-CZ and ancilla-controlled forms disagree")
     return interaction
 
 
-def factorization_residual(interaction: CZInteraction) -> float:
+def factorization_residual(interaction: CZInteraction):
     """Distance of the dressed-CZ matrix from (I (x) H) . C(gate0, gate1),
     the ancilla-controlled form (control on the ancilla slot)."""
     alt = tensor(I2, hadamard()) @ controlled(interaction.gate0, interaction.gate1, control=1)
-    return float(np.linalg.norm(interaction.matrix - alt))
+    return frobenius(interaction.matrix - alt)
 
 
-def action_residual(interaction: CZInteraction, bit: int) -> float:
+def action_residual(interaction: CZInteraction, bit: int):
     """Largest |K (psi (x) |bit>) - gate_bit psi (x) H|bit>| over basis states psi."""
     anc = np.eye(2, dtype=complex)[bit]
     return exit_residual(interaction.matrix, interaction.gate(bit), anc, hadamard() @ anc)
 
 
-def sandwich(interaction: CZInteraction) -> tuple[np.ndarray, np.ndarray, float]:
+def sandwich(interaction: CZInteraction) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The four-interaction sandwich K_k K_j (gate0^dag (x) gate0^dag (x) I)
     K_k K_j on (j, k, ancilla).
 
@@ -80,18 +83,18 @@ def sandwich(interaction: CZInteraction) -> tuple[np.ndarray, np.ndarray, float]
     """
     k_on_j = embed_gate(interaction.matrix, [2, 0], 3)
     k_on_k = embed_gate(interaction.matrix, [1, 0], 3)
-    inverse_pair = embed_gate(tensor(interaction.gate0.conj().T, interaction.gate0.conj().T), [2, 1], 3)
+    inverse_pair = embed_gate(tensor(adjoint(interaction.gate0), adjoint(interaction.gate0)), [2, 1], 3)
     sequence = k_on_k @ k_on_j @ inverse_pair @ k_on_k @ k_on_j
     induced = tensor(interaction.u, interaction.u) @ cz_gate() @ tensor(interaction.v, interaction.v)
-    return sequence, induced, float(np.linalg.norm(sequence - tensor(induced, I2)))
+    return sequence, induced, frobenius(sequence - tensor(induced, I2))
 
 
 def entangling_gate(interaction: CZInteraction) -> np.ndarray:
     """Register gate induced by the :func:`sandwich`, whose ancilla factor must be I."""
     _, induced, residual = sandwich(interaction)
-    if residual >= SANDWICH_ATOL:
+    if np.any(residual >= SANDWICH_ATOL):
         raise FactorizationFailure(
-            f"ancilla failed to decouple from the register (residual {residual:.3e})"
+            f"ancilla failed to decouple from the register (residual {np.max(residual):.3e})"
         )
     return induced
 

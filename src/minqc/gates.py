@@ -19,13 +19,22 @@ _P0 = np.array([[1, 0], [0, 0]], dtype=complex)
 _P1 = np.array([[0, 0], [0, 1]], dtype=complex)
 
 
+def _phase_diagonal(dim: int, theta) -> np.ndarray:
+    """diag(1, ..., 1, e^{i theta}) of size dim; a stack of them for an array of angles."""
+    phase = np.exp(1j * np.asarray(theta))
+    gate = np.zeros(phase.shape + (dim * dim,), dtype=complex)
+    gate[..., :: dim + 1] = 1
+    gate[..., -1] = phase
+    return gate.reshape(phase.shape + (dim, dim))
+
+
 def hadamard() -> np.ndarray:
     return np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 
 
-def phase_gate(theta: float) -> np.ndarray:
-    """diag(1, e^{i theta})."""
-    return np.array([[1, 0], [0, np.exp(1j * theta)]], dtype=complex)
+def phase_gate(theta) -> np.ndarray:
+    """diag(1, e^{i theta}); a stack of them for an array of angles."""
+    return _phase_diagonal(2, theta)
 
 
 def t_gate() -> np.ndarray:
@@ -58,12 +67,13 @@ def cnot_gate() -> np.ndarray:
     return controlled(I2, X)
 
 
-def controlled_phase(theta: float) -> np.ndarray:
-    """diag(1, 1, 1, e^{i theta}); symmetric in the two qubits."""
-    return np.diag([1, 1, 1, np.exp(1j * theta)]).astype(complex)
+def controlled_phase(theta) -> np.ndarray:
+    """diag(1, 1, 1, e^{i theta}); symmetric in the two qubits.  A stack of
+    them for an array of angles."""
+    return _phase_diagonal(4, theta)
 
 
-def swap_controlled_phase(theta: float) -> np.ndarray:
+def swap_controlled_phase(theta) -> np.ndarray:
     """SWAP composed with a controlled phase."""
     return swap_gate() @ controlled_phase(theta)
 

@@ -19,45 +19,99 @@ UNITARY_ATOL = 1e-12
 
 
 def as_matrix(m) -> np.ndarray:
+    """``m`` as a complex square matrix, or a stack of them along leading axes."""
     m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise DimensionMismatch(f"expected a square matrix, got shape {m.shape}")
     return m
 
 
-def is_unitary(m: np.ndarray) -> bool:
+def adjoint(m: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of a matrix, or of each matrix of a stack."""
+    return m.conj().swapaxes(-1, -2)
+
+
+def per_matrix(f, *stacks: np.ndarray):
+    """``f`` of each matrix of stacks with one leading shape, one call per
+    matrix: a float for matrices with no leading axes, else an array of that shape."""
+    lead = stacks[0].shape[:-2]
+    out = np.empty(lead)
+    for idx in np.ndindex(lead):
+        out[idx] = f(*(s[idx] for s in stacks))
+    return out[()]
+
+
+def _squared_norms(m: np.ndarray):
+    m = np.asarray(m)
+    flat = m.reshape(m.shape[:-2] + (1, -1))
+    if flat.dtype.kind != "c":
+        return (flat @ flat.swapaxes(-1, -2))[..., 0, 0]
+    re, im = flat.real, flat.imag
+    return (re @ re.swapaxes(-1, -2) + im @ im.swapaxes(-1, -2))[..., 0, 0]
+
+
+def frobenius(m: np.ndarray):
+    """Frobenius norm of a real or complex matrix, or of each matrix of a
+    stack (a float for one).
+
+    The bits are those of ``np.linalg.norm`` on each C-ordered matrix, which
+    the batched ``axis=(-2, -1)`` form does not keep: the same BLAS dot
+    products (of the real and of the imaginary parts), one row-by-column
+    product each.
+    """
+    return np.sqrt(_squared_norms(m))
+
+
+# Budget of one row block of the unitarity check's Gram matrix m^dag m.
+_GRAM_BLOCK_BYTES = 8 << 20
+
+
+def is_unitary(m: np.ndarray):
+    """Whether ||m^dag m - I||_F < UNITARY_ATOL: a bool, or one per matrix of a stack.
+
+    The Gram matrix is formed a block of rows of m^dag at a time, so no
+    full-size conjugate or product of a large matrix exists.
+    """
     m = as_matrix(m)
+    dim = m.shape[-1]
+    rows = max(1, _GRAM_BLOCK_BYTES * dim // max(m.nbytes, 1))
+    squares = 0.0
     with np.errstate(over="ignore", invalid="ignore"):  # huge entries are simply not unitary
-        gram = m.conj().T @ m
-        gram.reshape(-1)[:: len(m) + 1] -= 1  # m^dag m - I in place: a fresh product is C-contiguous
-        return bool(np.linalg.norm(gram) < UNITARY_ATOL)
+        for start in range(0, dim, rows):
+            gram = adjoint(m[..., start:start + rows]) @ m
+            # the block's part of m^dag m - I, in place: a fresh product is C-contiguous
+            gram.reshape(gram.shape[:-2] + (-1,))[..., start :: dim + 1] -= 1
+            squares = squares + _squared_norms(gram)
+            del gram  # so the next block's product does not coexist with it
+        return np.sqrt(squares) < UNITARY_ATOL
 
 
 def require_unitary(m: np.ndarray, name: str = "matrix") -> np.ndarray:
     m = as_matrix(m)
-    if not is_unitary(m):
+    if not is_unitary(m).all():
         raise NonUnitaryArgument(f"{name} is not unitary within {UNITARY_ATOL:g}")
     return m
 
 
 def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product of two square matrices or of two vectors; ``a`` acts
-    on the higher-index qubit block."""
+    """Kronecker product of two vectors, or over the last two axes of two
+    matrices or stacks of them (a stack of vectors is a stack of (d, 1)
+    columns); ``a`` acts on the higher-index qubit block."""
     a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
     if a.ndim == b.ndim == 1:
         return (a[:, None] * b[None, :]).reshape(-1)
-    a, b = as_matrix(a), as_matrix(b)
-    dim = a.shape[0] * b.shape[0]
-    return (a[:, None, :, None] * b[None, :, None, :]).reshape(dim, dim)
+    product = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return product.reshape(product.shape[:-4] + (a.shape[-2] * b.shape[-2], a.shape[-1] * b.shape[-1]))
 
 
 def herm_exp(h: np.ndarray, t: float) -> np.ndarray:
-    """exp(-i*h*t) for Hermitian h, via eigendecomposition (exact, no series)."""
+    """exp(-i*h*t) for Hermitian h, or each matrix of a stack, via
+    eigendecomposition (exact, no series)."""
     h = as_matrix(h)
-    if np.linalg.norm(h - h.conj().T) >= 1e-10:
+    if np.any(frobenius(h - adjoint(h)) >= 1e-10):
         raise NonHermitianInput("herm_exp requires a Hermitian matrix")
     w, v = np.linalg.eigh(h)
-    return (v * np.exp(-1j * w * t)) @ v.conj().T
+    return (v * np.exp(-1j * w * t)[..., None, :]) @ adjoint(v)
 
 
 def dist_phase(a: np.ndarray, b: np.ndarray) -> float:
@@ -83,14 +137,16 @@ def dist_phase(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.linalg.norm(diff))
 
 
-def exit_residual(op: np.ndarray, gate: np.ndarray, anc_in: np.ndarray, anc_out: np.ndarray) -> float:
+def exit_residual(op: np.ndarray, gate: np.ndarray, anc_in: np.ndarray, anc_out: np.ndarray):
     """Largest ||op (e (x) anc_in) - (gate e) (x) anc_out|| over basis states e: zero
     exactly when ``op`` applies ``gate`` to every register input, taking its
-    ancilla (the low slot) from ``anc_in`` to ``anc_out``."""
-    return max(
-        float(np.linalg.norm(op @ tensor(e, anc_in) - tensor(gate @ e, anc_out)))
-        for e in np.eye(len(gate), dtype=complex)
-    )
+    ancilla (the low slot) from ``anc_in`` to ``anc_out``.  Stacks of operators,
+    gates and ancilla vectors give one residual per stacked instance."""
+    anc_in, anc_out = anc_in[..., :, None], anc_out[..., :, None]
+    return np.max([
+        frobenius(op @ tensor(e, anc_in) - tensor(gate @ e, anc_out))
+        for e in np.eye(gate.shape[-1], dtype=complex)[:, :, None]
+    ], axis=0)
 
 
 def apply_gate(state: np.ndarray, g: np.ndarray, targets: list[int], *, stack: int = 0) -> np.ndarray:
@@ -106,15 +162,15 @@ def apply_gate(state: np.ndarray, g: np.ndarray, targets: list[int], *, stack: i
     The product is :func:`apply_in_layout` on the state's own axis order,
     followed by one transpose back to that order.
     """
-    g = as_matrix(g)
+    g = as_matrix(g)  # or a stack of gates, one per leading state index
     state = np.asarray(state)
     lead = state.shape[:stack]
     n = state.shape[stack].bit_length() - 1
     if state.shape[stack] != 2**n:
         raise DimensionMismatch(f"state axis of length {state.shape[stack]} is not 2**n")
     m = len(targets)
-    if g.shape[0] != 2**m:
-        raise BadTargets(f"gate dimension {g.shape[0]} does not match {m} targets")
+    if g.shape[-1] != 2**m:
+        raise BadTargets(f"gate dimension {g.shape[-1]} does not match {m} targets")
     if len(set(targets)) != m or any(not (0 <= t < n) for t in targets):
         raise BadTargets(f"targets {targets} invalid for {n} qubits")
     # axis for qubit q in the reshaped tensor is n-1-q (row-major, little-endian)
@@ -142,18 +198,28 @@ def apply_in_layout(
     where = [layout.index(a) for a in axes]
     order = where + [k for k in range(len(layout)) if k not in where]
     moved = block.transpose(list(range(stack)) + [stack + k for k in order])
-    product = g @ moved.reshape(block.shape[:stack] + (len(g), -1))
+    product = g @ moved.reshape(block.shape[:stack] + (g.shape[-1], -1))
     return product.reshape(moved.shape), [layout[k] for k in order]
 
 
 def embed_gate(g: np.ndarray, targets: list[int], num_qubits: int) -> np.ndarray:
-    """Dense 2^n x 2^n operator acting as ``g`` on ``targets``, identity elsewhere."""
-    return apply_gate(np.eye(2**num_qubits, dtype=complex), g, targets)
+    """Dense 2^n x 2^n operator acting as ``g`` on ``targets``, identity
+    elsewhere; one per gate of a stack."""
+    g = as_matrix(g)
+    lead, dim = g.shape[:-2], 2**num_qubits
+    return apply_gate(np.broadcast_to(np.eye(dim, dtype=complex), lead + (dim, dim)), g, targets, stack=len(lead))
 
 
-def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-random unitary via QR of a Ginibre matrix."""
-    z = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / np.sqrt(2)
+def random_unitary(dim: int, rng: np.random.Generator, size: tuple[int, ...] = ()) -> np.ndarray:
+    """Haar-random unitary, or a ``size`` stack of them: :func:`ginibre_unitary`
+    of one draw of normals, so a stack draws what as many single calls do."""
+    return ginibre_unitary(rng.standard_normal(tuple(size) + (2, dim, dim)))
+
+
+def ginibre_unitary(normals: np.ndarray) -> np.ndarray:
+    """The Haar unitary of a Ginibre matrix via QR: ``normals[..., 0, :, :]``
+    and ``normals[..., 1, :, :]`` are its real and imaginary parts."""
+    z = (normals[..., 0, :, :] + 1j * normals[..., 1, :, :]) / np.sqrt(2)
     q, r = np.linalg.qr(z)
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d))[..., None, :]

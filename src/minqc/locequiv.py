@@ -3,7 +3,8 @@
 Two 4x4 unitaries are locally equivalent when they differ only by single-qubit
 unitaries on each side; the (g1, g2) invariant pair computed in the magic
 basis is constant exactly on those classes, so equality of invariants decides
-equivalence without recovering the dressing unitaries.
+equivalence without recovering the dressing unitaries.  Both functions take
+a stack of gates along leading axes as well, giving one result per gate.
 """
 from __future__ import annotations
 
@@ -11,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import require_unitary, tensor
+from .linalg import adjoint, require_unitary, tensor
 
 INVARIANT_ATOL = 1e-8
 
@@ -27,25 +28,28 @@ _SWAP_CLASS = (-1.0 + 0.0j, -3.0)
 
 @dataclass(frozen=True)
 class LocalInvariants:
+    """The (g1, g2) pair, or arrays of them for a stack of gates."""
+
     g1: complex
     g2: float
 
-    def distance(self, other: "LocalInvariants") -> float:
-        return float(max(abs(self.g1 - other.g1), abs(self.g2 - other.g2)))
+    def distance(self, other: "LocalInvariants"):
+        g1_gap = np.subtract(self.g1, other.g1)  # hypot: np.abs of a complex array may round otherwise
+        return np.maximum(np.hypot(g1_gap.real, g1_gap.imag), abs(self.g2 - other.g2))
 
 
 def invariants(u: np.ndarray) -> LocalInvariants:
     """Invariant pair of a two-qubit unitary, computed in the magic basis."""
     u = require_unitary(u, "u")
-    if u.shape != (4, 4):
+    if u.shape[-2:] != (4, 4):
         raise ValueError("invariants are defined for 4x4 unitaries")
-    um = _MAGIC.conj().T @ u @ _MAGIC
-    m = um.T @ um
+    um = adjoint(_MAGIC) @ u @ _MAGIC
+    m = um.swapaxes(-1, -2) @ um
     det = np.linalg.det(u)
-    tr2 = np.trace(m) ** 2
+    tr2 = np.trace(m, axis1=-2, axis2=-1) ** 2
     g1 = tr2 / (16 * det)
-    g2 = (tr2 - np.trace(m @ m)) / (4 * det)
-    return LocalInvariants(complex(g1), float(np.real(g2)))
+    g2 = (tr2 - np.trace(m @ m, axis1=-2, axis2=-1)) / (4 * det)
+    return LocalInvariants(g1, np.real(g2))
 
 
 def _concurrence(psi: np.ndarray) -> float:
@@ -73,9 +77,13 @@ def is_entangling(u: np.ndarray) -> bool:
     states and are excluded.  Decided by invariants; near-class borderline
     cases are settled by the explicit product-state search.
     """
+    u = np.asarray(u)
     inv = invariants(u)
-    for g1, g2 in (_IDENTITY_CLASS, _SWAP_CLASS):
-        if inv.distance(LocalInvariants(g1, g2)) < INVARIANT_ATOL:
-            return _creates_entanglement(u)
-    return True
+    gap = np.minimum(*(inv.distance(LocalInvariants(*c)) for c in (_IDENTITY_CLASS, _SWAP_CLASS)))
+    near = np.asarray(gap < INVARIANT_ATOL)
+    entangling = np.ones(near.shape, dtype=bool)
+    for idx in np.ndindex(near.shape):
+        if near[idx]:
+            entangling[idx] = _creates_entanglement(u[idx])
+    return entangling[()]
 

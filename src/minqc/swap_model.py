@@ -6,6 +6,9 @@ consecutive interactions through one basis-prepared ancilla apply one of two
 selected single-qubit gates; three interactions (j, k, j) through a
 |0>-prepared ancilla implement an entangling register gate directly, with no
 extra ancillas.
+
+The constructors and residuals take stacks of unitaries and arrays of angles
+as well, one instance (and one residual) per stacked parameter set.
 """
 from __future__ import annotations
 
@@ -15,7 +18,7 @@ import numpy as np
 
 from .errors import FactorizationFailure
 from .gates import I2, controlled, phase_gate, swap_controlled_phase, swap_gate, X
-from .linalg import dist_phase, embed_gate, exit_residual, require_unitary, tensor
+from .linalg import dist_phase, embed_gate, exit_residual, frobenius, per_matrix, require_unitary, tensor
 from .simulator import Schedule, Step
 
 # Identity tolerances: the constructors raise at them, ``minqc verify`` reports against them.
@@ -38,9 +41,7 @@ class SwapInteraction:
         return self.gate0 if bit == 0 else self.gate1
 
 
-def swap_interaction(
-    u: np.ndarray, theta: float, theta_r: float = 0.0, theta_a: float = 0.0
-) -> SwapInteraction:
+def swap_interaction(u: np.ndarray, theta, theta_r=0.0, theta_a=0.0) -> SwapInteraction:
     """Build the interaction; the selected gates are
     gate_i = R(i*theta + theta_a) u R(i*theta + theta_r).
 
@@ -56,12 +57,12 @@ def swap_interaction(
         gate0=phase_gate(theta_a) @ u @ phase_gate(theta_r),
         gate1=phase_gate(theta + theta_a) @ u @ phase_gate(theta + theta_r),
     )
-    if factorization_residual(interaction) >= FACTORIZATION_ATOL:
+    if np.any(factorization_residual(interaction) >= FACTORIZATION_ATOL):
         raise FactorizationFailure("swap-phase and ancilla-controlled forms disagree")
     return interaction
 
 
-def factorization_residual(interaction: SwapInteraction) -> float:
+def factorization_residual(interaction: SwapInteraction):
     """Distance of the swap-phase matrix from the ancilla-controlled form
     SWAP . C(u R(theta_r), u R(theta + theta_r)) . (I (x) R(theta_a))."""
     u, theta, theta_r = interaction.u, interaction.theta, interaction.theta_r
@@ -70,25 +71,25 @@ def factorization_residual(interaction: SwapInteraction) -> float:
         @ controlled(u @ phase_gate(theta_r), u @ phase_gate(theta + theta_r), control=1)
         @ tensor(I2, phase_gate(interaction.theta_a))
     )
-    return float(np.linalg.norm(interaction.matrix - alt))
+    return frobenius(interaction.matrix - alt)
 
 
-def action_residual(interaction: SwapInteraction, bit: int) -> float:
+def action_residual(interaction: SwapInteraction, bit: int):
     """Phase-aligned distance of L L (psi (x) |bit>) from
     gate_bit psi (x) u|bit> over the register basis states psi.
 
     One global phase per preparation branch is allowed (it is exactly zero
     when both local rotation offsets vanish).
     """
-    basis = np.eye(2, dtype=complex)
+    basis = np.eye(2, dtype=complex)[:, :, None]  # columns
     anc = basis[bit]
     double = interaction.matrix @ interaction.matrix
-    out = np.stack([double @ tensor(e, anc) for e in basis], axis=1)
-    expected = np.stack([tensor(interaction.gate(bit) @ e, interaction.u @ anc) for e in basis], axis=1)
-    return dist_phase(out, expected)
+    out = np.concatenate([double @ tensor(e, anc) for e in basis], axis=-1)
+    expected = np.concatenate([tensor(interaction.gate(bit) @ e, interaction.u @ anc) for e in basis], axis=-1)
+    return per_matrix(dist_phase, out, expected)
 
 
-def sandwich(interaction: SwapInteraction) -> tuple[np.ndarray, float]:
+def sandwich(interaction: SwapInteraction) -> tuple[np.ndarray, np.ndarray]:
     """The three-interaction sequence L_j L_k L_j through a |0>-prepared ancilla.
 
     Returns the closed form
@@ -112,9 +113,9 @@ def sandwich(interaction: SwapInteraction) -> tuple[np.ndarray, float]:
 def entangling_gate(interaction: SwapInteraction) -> np.ndarray:
     """Register gate induced by the :func:`sandwich`, whose ancilla must exit in u|0>."""
     closed, residual = sandwich(interaction)
-    if residual >= SANDWICH_ATOL:
+    if np.any(residual >= SANDWICH_ATOL):
         raise FactorizationFailure(
-            f"ancilla failed to decouple in u|0> (residual {residual:.3e})"
+            f"ancilla failed to decouple in u|0> (residual {np.max(residual):.3e})"
         )
     return closed
 

@@ -16,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DimensionMismatch, SearchExhausted
-from .linalg import dist_phase, random_unitary, require_unitary
+from .linalg import adjoint, dist_phase, frobenius, random_unitary, require_unitary
 
 PLAUSIBLY_UNIVERSAL = "plausibly-universal"
 NOT_UNIVERSAL = "not-universal"
@@ -30,9 +30,10 @@ _WITNESS_DEPTH = 6
 DEFAULT_MAX_WORD_LEN = 24
 
 
-def _require_gate(g: np.ndarray, name: str) -> np.ndarray:
-    """``g`` as a complex 2x2 unitary; raises on any other shape, then as :func:`require_unitary`."""
-    if np.shape(g) != (2, 2):
+def _require_gate(g: np.ndarray, name: str, *, stack: bool = False) -> np.ndarray:
+    """``g`` as a complex 2x2 unitary, or with ``stack`` a stack of them;
+    raises on any other shape, then as :func:`require_unitary`."""
+    if (np.shape(g)[-2:] if stack else np.shape(g)) != (2, 2):
         raise DimensionMismatch(f"{name} has shape {np.shape(g)}: synthesis operates on 2x2 gates")
     return require_unitary(g, name)
 
@@ -43,7 +44,7 @@ class AxisAngle:
 
     phi is reduced to [0, pi/2] by the sign of the SU(2) representative; when
     sin(phi) vanishes the axis is undefined and reported as +z with
-    ``degenerate`` set.
+    ``degenerate`` set.  For a stack of gates each field holds one entry per gate.
     """
 
     phi: float
@@ -55,41 +56,44 @@ class AxisAngle:
 def _su2_quaternions(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The det-1 representatives of a stack of 2x2 unitaries and their unit
     quaternions (w, x, y, z), su = w I + i (x X + y Y + z Z), sign as it falls."""
-    su = mats / np.sqrt(np.linalg.det(mats))[:, None, None]
-    a, b, c, d = su[:, 0, 0], su[:, 0, 1], su[:, 1, 0], su[:, 1, 1]
-    return su, np.stack([np.real(a + d), np.imag(b + c), np.real(b - c), np.imag(a - d)], axis=1) / 2
+    su = mats / np.sqrt(np.linalg.det(mats))[..., None, None]
+    a, b, c, d = su[..., 0, 0], su[..., 0, 1], su[..., 1, 0], su[..., 1, 1]
+    return su, np.stack([np.real(a + d), np.imag(b + c), np.real(b - c), np.imag(a - d)], axis=-1) / 2
 
 
-def _rotation(q: np.ndarray) -> tuple[float, np.ndarray | None]:
-    """Angle phi in [0, pi/2] and unit axis (None where sin(phi) < 1e-9) of a
-    unit quaternion.  Near the identity phi is the arcsin of the vector norm:
-    the arccos of a w that rounds to 1 - 1e-16 reads phi = 1.5e-8, no longer degenerate."""
-    sin_norm = np.linalg.norm(q[1:])
-    phi = float(np.arcsin(sin_norm) if sin_norm < 1e-6 else np.arccos(min(abs(q[0]), 1.0)))
-    sin_phi = np.sin(phi)
-    if sin_phi < 1e-9:
-        return phi, None
-    axis = q[1:] / sin_phi
-    return phi, axis / np.linalg.norm(axis)
+def _rotation(q: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Angle phi in [0, pi/2], unit axis and degeneracy (sin(phi) < 1e-9, axis
+    +z) of each unit quaternion of a stack.  Near the identity phi is the
+    arcsin of the vector norm: the arccos of a w that rounds to 1 - 1e-16
+    reads phi = 1.5e-8, no longer degenerate."""
+    sin_norm = frobenius(q[..., None, 1:])
+    with np.errstate(invalid="ignore", divide="ignore"):  # the branches np.where drops
+        phi = np.where(sin_norm < 1e-6, np.arcsin(sin_norm), np.arccos(np.minimum(np.abs(q[..., 0]), 1.0)))
+        sin_phi = np.sin(phi)
+        degenerate = sin_phi < 1e-9
+        axis = q[..., 1:] / sin_phi[..., None]
+        axis = axis / frobenius(axis[..., None, :])[..., None]
+    return phi[()], np.where(degenerate[..., None], [0.0, 0.0, 1.0], axis), degenerate
 
 
 def axis_angle(g: np.ndarray) -> AxisAngle:
-    """Extract the rotation angle and unit axis of a 2x2 unitary."""
-    g = _require_gate(g, "g")
-    su, q = (part[0] for part in _su2_quaternions(g[None]))
-    phase = np.trace(g @ su.conj().T) / 2
-    if q[0] < 0:  # the SU(2) representative with non-negative real trace
-        q, phase = -q, -phase
-    phi, axis = _rotation(q)
-    return AxisAngle(phi, np.array([0.0, 0.0, 1.0]) if axis is None else axis, float(np.angle(phase)), axis is None)
+    """Extract the rotation angle and unit axis of a 2x2 unitary, or of each of a stack."""
+    g = _require_gate(g, "g", stack=True)
+    su, q = _su2_quaternions(g)
+    phase = np.trace(g @ adjoint(su), axis1=-2, axis2=-1) / 2
+    flip = q[..., 0] < 0  # the SU(2) representative with non-negative real trace
+    phi, axis, degenerate = _rotation(np.where(flip[..., None], -q, q))
+    degenerate = degenerate if degenerate.ndim else bool(degenerate)  # a Python bool for one gate
+    return AxisAngle(phi, axis, np.angle(np.where(flip, -phase, phase)), degenerate)
 
 
 def from_axis_angle(aa: AxisAngle) -> np.ndarray:
     """Rebuild the matrix from its axis-angle form (inverse of :func:`axis_angle`)."""
-    nx, ny, nz = aa.axis
-    pauli_part = np.array([[nz, nx - 1j * ny], [nx + 1j * ny, -nz]], dtype=complex)
-    su = np.cos(aa.phi) * np.eye(2) + 1j * np.sin(aa.phi) * pauli_part
-    return np.exp(1j * aa.global_phase) * su
+    nx, ny, nz = np.moveaxis(aa.axis, -1, 0)
+    pauli_part = np.stack([np.stack([nz, nx - 1j * ny], -1), np.stack([nx + 1j * ny, -nz], -1)], -2)
+    phi = np.asarray(aa.phi)[..., None, None]
+    su = np.cos(phi) * np.eye(2) + 1j * np.sin(phi) * pauli_part
+    return np.exp(1j * np.asarray(aa.global_phase))[..., None, None] * su
 
 
 def _quaternions(mats: np.ndarray) -> np.ndarray:
@@ -166,10 +170,10 @@ def universality_diagnostic(g0: np.ndarray, g1: np.ndarray) -> UniversalityRepor
         return UniversalityReport(verdict=NOT_UNIVERSAL, **report)
 
     levels = _levels_for(g0, g1)
-    rotations = [_rotation(q) for m in range(1, _WITNESS_DEPTH + 1) for q in levels.level(m).quats]
+    phi, axis, _ = _rotation(np.concatenate([levels.level(m).quats for m in range(1, _WITNESS_DEPTH + 1)]))
     # a product without an axis has phi / pi < 1e-9: a rational angle, never a witness
-    kinds = [_classify_angle_fraction(phi / np.pi) for phi, _ in rotations]
-    axes = np.array([axis for (_, axis), kind in zip(rotations, kinds) if kind == "irrational"]).reshape(-1, 3)
+    kinds = [_classify_angle_fraction(p / np.pi) for p in phi]
+    axes = axis[[kind == "irrational" for kind in kinds]]
     if np.any(np.arccos(np.clip(np.abs(axes @ axes.T), 0.0, 1.0)) > AXIS_PARALLEL_ATOL):
         return UniversalityReport(verdict=PLAUSIBLY_UNIVERSAL, **report)
     verdict = INCONCLUSIVE if ("boundary" in kinds or len(axes)) else NOT_UNIVERSAL
@@ -374,7 +378,7 @@ def density_probe(
     word_mat = np.concatenate([levels.level(m).quats for m in range(depth + 1)])
 
     rng = np.random.default_rng(seed)
-    sample_mat = _quaternions(np.array([random_unitary(2, rng) for _ in range(samples)]))
+    sample_mat = _quaternions(random_unitary(2, rng, (samples,)))
 
     # dist_phase(a, b) = 2 sqrt(1 - |<qa, qb>|) for 2x2 unitaries; samples in blocks, as _overlapping_pairs
     rows = max(1, _MATCH_BLOCK // len(word_mat))

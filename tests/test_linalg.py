@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from minqc import linalg
 from minqc.errors import BadTargets, DimensionMismatch, NonHermitianInput
 from minqc.gates import I2, X, Z, cz_gate, hadamard
 from minqc.linalg import (
@@ -11,8 +12,10 @@ from minqc.linalg import (
     dist_phase,
     embed_gate,
     herm_exp,
+    frobenius,
     is_unitary,
     random_unitary,
+    require_unitary,
     tensor,
 )
 
@@ -170,6 +173,30 @@ def test_in_place_checks_round_as_the_plain_expressions():
         for scale in np.geomspace(1e-14, 1e-11, 13):
             m = u + scale * noise
             assert is_unitary(m) == (np.linalg.norm(m.conj().T @ m - np.eye(n)) < UNITARY_ATOL)
+
+
+def test_require_unitary_on_a_large_claim_makes_no_full_size_copy():
+    u = random_unitary(1024, np.random.default_rng(31))  # 16 MiB
+    tracemalloc.start()
+    try:
+        require_unitary(u, "claim")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * u.nbytes  # row blocks of m^dag m - I: no full-size conjugate or product
+
+
+def test_stacked_unitarity_and_norms_are_per_matrix(monkeypatch):
+    rng = np.random.default_rng(41)
+    stack = random_unitary(8, rng, (3, 2))
+    stack[1, 0] += 1e-9  # one non-unitary matrix
+    expected = [[is_unitary(m) for m in row] for row in stack]
+    assert is_unitary(stack).tolist() == expected == [[True, True], [False, True], [True, True]]
+    monkeypatch.setattr(linalg, "_GRAM_BLOCK_BYTES", 1)  # one row of m^dag per block
+    assert is_unitary(stack).tolist() == expected
+    noise = rng.standard_normal((5, 4, 4)) + 1j * rng.standard_normal((5, 4, 4))
+    assert np.array_equal(frobenius(noise), [np.linalg.norm(m) for m in noise])
+    assert frobenius(noise[0]) == np.linalg.norm(noise[0])
 
 
 def test_dense_checks_make_one_full_size_temporary():

@@ -375,8 +375,9 @@ def test_synthesize_rejects_bad_epsilon(epsilon):
         lambda: universality_diagnostic(hadamard(), cz_gate()),
         lambda: synthesize(hadamard(), t_gate(), cnot_gate(), 0.1),
         lambda: density_probe(cz_gate(), hadamard(), 2),
+        lambda: synthesize(np.stack([hadamard(), t_gate()]), t_gate(), hadamard(), 0.1),
     ],
-    ids=["axis-angle", "diagnostic", "diagnostic-g1", "synthesize-target", "density-probe"],
+    ids=["axis-angle", "diagnostic", "diagnostic-g1", "synthesize-target", "density-probe", "synthesize-stack"],
 )
 def test_synth_rejects_gates_that_are_not_2x2(call):
     # a 4x4 gate is neither a degenerate rotation nor a verdict, and fails before any numpy error
