@@ -35,7 +35,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 from minqc import cli, simulator, swap_model, synth  # noqa: E402
 from minqc.catalog import parse_gate_spec, sct_instance, standard_interactions  # noqa: E402
 from minqc.errors import AncillaEntangledAtExit, SearchExhausted  # noqa: E402
-from minqc.linalg import random_unitary  # noqa: E402
+from minqc.gates import hadamard, swap_gate  # noqa: E402
+from minqc.linalg import herm_exp, random_unitary  # noqa: E402
 from workloads import random_schedule  # noqa: E402
 
 WALL_TIME = re.compile(rb'"wall_time_s": [0-9.e+-]+')
@@ -189,7 +190,24 @@ def simulator_cases() -> None:
         plus = {a: np.array([1, 1]) / np.sqrt(2) for a in schedule.preps}
         outcome, parts = run_outcome(schedule, plus)
         emit(f"simulator.run random_schedule n={n}, every ancilla in |+>", outcome, *parts)
-
+    # near-swaps whose deficits fall between the clean and the reject
+    # threshold, so the run warns; the warnings are digested in the order they
+    # come out.  On 4 qubits the second segment repeats the first.
+    near = {"ns": herm_exp(swap_gate(), 1e-4)}
+    steps = [simulator.Step("ns", q, a) for q, a in ((0, "a"), (1, "b"), (0, "a"), (2, "c"), (3, "d"), (2, "c"))]
+    for n in (2, 4):
+        schedule = simulator.Schedule(n, {a: 0 for a in "abcd"[:n]}, steps[:3 * n // 2], near)
+        outcome, parts = run_outcome(schedule)
+        emit(f"simulator.run near-swaps on {n} qubits (warns)", outcome, *parts)
+    # input 1 fails at step 1, input 0 only at step 2: the run names input 0
+    controlled_h = np.eye(4, dtype=complex)
+    controlled_h[2:, 2:] = hadamard()
+    text = "REGISTER 2\nPREP b 1\nINT half_swap 1 b\nPREP a 0\nINT ch 0 a\nINT cz_plain 1 b\n"
+    schedule = simulator.schedule_from_text(
+        text, {**interactions, "ch": controlled_h, "half_swap": herm_exp(swap_gate(), np.pi / 4)}
+    )
+    outcome, parts = run_outcome(schedule)
+    emit("simulator.run, the lowest failing input failing at a later step", outcome, *parts)
 
 def main() -> int:
     here = os.getcwd()

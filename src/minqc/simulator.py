@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import AncillaEntangledAtExit, ScheduleInvalid, ScheduleParseError
-from .linalg import apply_gate, apply_in_layout, dist_phase
+from .linalg import apply_gate, apply_in_layout, dist_phase, frobenius
 
 # Purity-deficit bands: below DECOUPLE_ATOL is clean product form, between the
 # two the run proceeds with a warning, above WARN_ATOL the ancilla is declared
@@ -167,7 +167,7 @@ def run(schedule: Schedule, prep_overrides: dict[str, np.ndarray] | None = None)
         if key not in simulated:
             simulated[key] = _run_segment(schedule, preps, last_use, segment, slot)
         operator, exit_states, deficits, above_clean = simulated[key]
-        report.purity_deficits.update({a: deficits[slot[a]] for a in schedule.preps if a in slot})
+        report.purity_deficits.update({a: deficits[s] for a, s in slot.items()})
         report.ancilla_exit_states.update({ancillas[s]: chi.copy() for s, chi in exit_states})
         report.warnings.extend(
             f"ancilla {ancillas[s]!r}: purity deficit {deficit:.3e} above clean threshold" for s, deficit in above_clean
@@ -229,9 +229,10 @@ def _run_segment(
     runs of 2^(MAX_LIVE_QUBITS - ``live_qubits``) consecutive inputs, and
     returns (the 2^k x 2^k operator they induce, [(slot, exit state)] in
     detach order, the deficit of each slot, [(slot, deficit)] for each
-    deficit above the clean threshold in input, step order), with the
-    segment's ancillas named by ``slot``.  A rejection names the lowest
-    failing input at its first failing step, as one input at a time would.
+    deficit above the clean threshold in (input, step) order), with the
+    segment's ancillas named by ``slot``.  Each detach judges every input of
+    the stack at once.  If any input is rejected, the lowest rejected input
+    raises at its first failing step, as one input at a time would.
     """
     start, stop, qubits, live_qubits = segment
     steps = schedule.steps[start:stop]
@@ -246,9 +247,8 @@ def _run_segment(
     for lo in range(0, sub_dim, chunk):
         state = np.eye(min(chunk, sub_dim - lo), sub_dim, lo, dtype=complex)  # row c: input lo + c
         live: list[str] = []  # attached ancillas; live[p] sits on qubit len(qubits) + p
-        # row `failed` holds the lowest rejected input so far; the rows past it go unchecked
-        failed, error = len(state), None
-        warnings: list[list[tuple[int, float]]] = [[] for _ in state]
+        rejected: dict[int, tuple] = {}  # input -> its first failing (step, ancilla, own, ref)
+        warned: list[tuple[int, int, int, float]] = []  # (input, step, slot, deficit)
 
         for i, step in enumerate(steps, start):
             if step.ancilla not in live:
@@ -262,27 +262,24 @@ def _run_segment(
             if last_use[step.ancilla] == i:
                 live.remove(step.ancilla)
                 s = slot[step.ancilla]
-                state, chi, input_deficits = _detach(state, position, exit_states.get(s), failed)
-                for c, (own_deficit, ref_deficit) in enumerate(input_deficits):
-                    if max(own_deficit, ref_deficit) >= WARN_ATOL:
-                        where = f"sub-register input {lo + c} of register qubits {list(qubits)}"
-                        failed, error = c, AncillaEntangledAtExit(
-                            f"ancilla {step.ancilla!r} exits step {i} entangled with the register "
-                            f"(purity deficit {own_deficit:.3e}, {where})"
-                            if own_deficit >= WARN_ATOL
-                            else f"ancilla {step.ancilla!r} exits step {i} in a different state for "
-                            f"{where} (residual {ref_deficit:.3e})"
-                        )
-                        break
-                    deficit = max(own_deficit, ref_deficit)
-                    if deficit >= DECOUPLE_ATOL:
-                        warnings[c].append((s, deficit))
-                    deficits[s] = max(deficits[s], deficit)
+                state, chi, own, ref = _detach(state, position, exit_states.get(s))
                 exit_states.setdefault(s, chi)
+                deficit = np.maximum(own, ref)
+                for c in np.flatnonzero(deficit >= WARN_ATOL):
+                    rejected.setdefault(lo + c, (i, step.ancilla, own[c], ref[c]))
+                deficits[s] = max(deficits[s], float(deficit.max()))
+                warned.extend((lo + c, i, s, float(deficit[c])) for c in np.flatnonzero(deficit >= DECOUPLE_ATOL))
 
-        if error is not None:
-            raise error
-        above_clean.extend(w for input_warnings in warnings for w in input_warnings)
+        if rejected:
+            c = min(rejected)
+            i, ancilla, own, ref = rejected[c]
+            where = f"sub-register input {c} of register qubits {list(qubits)}"
+            raise AncillaEntangledAtExit(
+                f"ancilla {ancilla!r} exits step {i} entangled with the register (purity deficit {own:.3e}, {where})"
+                if own >= WARN_ATOL
+                else f"ancilla {ancilla!r} exits step {i} in a different state for {where} (residual {ref:.3e})"
+            )
+        above_clean.extend((s, deficit) for _, _, s, deficit in sorted(warned))
         operator[:, lo:lo + len(state)] = state.T
 
     return operator, list(exit_states.items()), deficits, above_clean
@@ -331,27 +328,28 @@ def _compose(operators: list[tuple[np.ndarray, tuple[int, ...]]], register_size:
     return register_unitary
 
 
-def _detach(states: np.ndarray, position: int, reference: np.ndarray | None, count: int):
+def _detach(states: np.ndarray, position: int, reference: np.ndarray | None):
     """Factor one qubit out of each state (row) of a stack.
 
-    Returns (rest, exit_state, deficits): for each of the first ``count``
-    rows, the purity deficit of the qubit's reduced state and the residual
-    against the exit state, each by the same scalar operations as for a lone
-    state.  The exit state is pinned on the segment's first input column and
-    reused for the rest, which both enforces a consistent exit across columns
-    and keeps the factored phases coherent so the register operator is well
-    defined up to one overall phase.
+    Returns (rest, exit_state, own, ref): for every row, the purity deficit
+    of the qubit's reduced state and the residual against the exit state,
+    with the bits of the same formulas on a lone state.  A row that an
+    earlier detach rejected may be zero; its deficits are then NaN, which
+    no threshold test passes.  The exit state is pinned on the segment's
+    first input column and reused for the rest, which both enforces a
+    consistent exit across columns and keeps the factored phases coherent
+    so the register operator is well defined up to one overall phase.
     """
     # index = (higher qubits, the qubit, lower qubits): the qubit's bit moves in front
     blocks = states.reshape(len(states), -1, 2, 2**position).swapaxes(1, 2).reshape(len(states), 2, -1)
     evals, evecs = np.linalg.eigh(blocks @ blocks.conj().swapaxes(1, 2))
     chi = reference if reference is not None else _canonical_phase(evecs[0, :, -1])
     rest = chi.conj() @ blocks
-    deficits = [
-        (float(max(0.0, 1.0 - e[-1] / e.sum())), float(max(0.0, 1.0 - np.linalg.norm(r) ** 2 / e.sum())))
-        for e, r in zip(evals[:count], rest[:count])
-    ]
-    return rest, chi, deficits
+    total = evals.sum(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        own = np.maximum(0.0, 1.0 - evals[:, -1] / total)
+        ref = np.maximum(0.0, 1.0 - frobenius(rest[:, None, :]) ** 2 / total)
+    return rest, chi, own, ref
 
 
 def verify_against(report: RunReport, claimed: np.ndarray, tol: float, label: str = "claimed") -> bool:

@@ -214,12 +214,21 @@ NEARLY_SWAPS_TWICE = Schedule(
     NEARLY_SWAPS.interactions,
 )
 
+# Input 1 (qubit 0 set) leaves the |+>-prepared a1 in |->, so a1 is rejected
+# at step 1 with residual 1: that input's row of the stack is zero when a0
+# detaches at step 2, and its deficits there are 0/0.
+ZERO_ROW = Schedule(
+    3, {"a0": 0, "a1": 0}, [Step("cz_plain", 0, "a0"), Step("cz_plain", 0, "a1"), Step("cz_plain", 0, "a0")],
+    INTERACTIONS,
+)
+
 
 @settings(max_examples=200, deadline=None)
 @given(schedules(), st.integers(0, 2))
 @example(drawn=(NEARLY_SWAPS, {}), slack=2)
 @example(drawn=(TWO_SELECTIONS, {"b": OVERRIDES[0]}), slack=0)
 @example(drawn=(NEARLY_SWAPS_TWICE, {}), slack=0)
+@example(drawn=(ZERO_ROW, {"a1": OVERRIDES[0]}), slack=0)
 def test_stacked_inputs_match_one_input_at_a_time(drawn, slack):
     # a live-qubit cap `slack` above the schedule's peak cuts the largest
     # segments' stacks into runs of 2^slack inputs
