@@ -61,6 +61,7 @@ CLI_CASES = [
     ["synth", "--gens", "T,HT", "--target", "random", "--eps", "1e-16", "--max-len", "24", "--seed", "1"],
     ["synth", "--gens", "Z,T", "--target", "X", "--eps", "1e-16", "--max-len", "2000"],
     ["synth", "--gens", "R(1),R(1.4142135623730951)", "--target", "X", "--eps", "0.01", "--max-len", "600"],
+    ["synth", "--gens", "H,THT", "--target", "T", "--eps", "1e200"],  # epsilon**2 overflows a float
 ]
 
 
@@ -77,10 +78,14 @@ def emit(name: str, outcome: str, *parts) -> None:
 
 def run_cli(argv: list[str]) -> None:
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main(argv)
-    emit(" ".join(argv), f"exit {code}", WALL_TIME.sub(b'"wall_time_s": MASKED', out.getvalue().encode()),
-         err.getvalue().encode())
+    raised = []
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            outcome = f"exit {cli.main(argv)}"
+    except Exception as exc:  # the case's outcome, as in run_outcome
+        outcome, raised = type(exc).__name__, [str(exc)]
+    emit(" ".join(argv), outcome, WALL_TIME.sub(b'"wall_time_s": MASKED', out.getvalue().encode()),
+         err.getvalue().encode(), *raised)
 
 
 def three_qubit_schedule_case() -> None:
@@ -208,6 +213,15 @@ def simulator_cases() -> None:
     )
     outcome, parts = run_outcome(schedule)
     emit("simulator.run, the lowest failing input failing at a later step", outcome, *parts)
+    # one wide segment: SCT entanglers (steps j, k, j) chained so that each
+    # ancilla's last step follows the next ancilla's first; 18 steps, 10 live qubits
+    chain = []
+    for a, (j, k) in enumerate(((0, 1), (2, 3), (4, 5), (6, 7), (1, 2), (3, 4))):
+        first, *rest = (simulator.Step("sct", q, f"a{a}") for q in (j, k, j))
+        chain.insert(len(chain) - 1, first)  # before the previous ancilla's last step
+        chain += rest
+    outcome, parts = run_outcome(simulator.Schedule(8, {f"a{a}": 0 for a in range(6)}, chain, interactions))
+    emit("simulator.run chained SCT entanglers, one segment on 8 qubits", outcome, *parts)
 
 def main() -> int:
     here = os.getcwd()

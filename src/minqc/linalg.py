@@ -6,7 +6,8 @@ Conventions, used consistently everywhere in this package:
     significant bit of the basis index;
   * ``tensor(a, b)`` places ``a`` on the higher-index qubit block, so for a
     two-qubit operator ``tensor(a, b)`` acts with ``a`` on qubit 1 and ``b``
-    on qubit 0.
+    on qubit 0;
+  * gates act through :func:`apply_in_layout`; :func:`embed_gate` is a copy, not a product.
 """
 from __future__ import annotations
 
@@ -149,40 +150,6 @@ def exit_residual(op: np.ndarray, gate: np.ndarray, anc_in: np.ndarray, anc_out:
     ], axis=0)
 
 
-def apply_gate(state: np.ndarray, g: np.ndarray, targets: list[int], *, stack: int = 0) -> np.ndarray:
-    """Apply ``g`` to the listed qubits of ``state`` (identity elsewhere).
-
-    The first ``stack`` axes of ``state`` index states that each take their
-    own product with ``g``; the next holds the 2^n basis amplitudes,
-    little-endian; any trailing axes are batch columns, transformed alike in
-    one product.  Returns an array of the same shape.  ``targets[0]``
-    addresses the highest-index qubit slot of ``g``, matching the ``tensor``
-    convention; order is significant for non-symmetric gates.
-
-    The product is :func:`apply_in_layout` on the state's own axis order,
-    followed by one transpose back to that order.
-    """
-    g = as_matrix(g)  # or a stack of gates, one per leading state index
-    state = np.asarray(state)
-    lead = state.shape[:stack]
-    n = state.shape[stack].bit_length() - 1
-    if state.shape[stack] != 2**n:
-        raise DimensionMismatch(f"state axis of length {state.shape[stack]} is not 2**n")
-    m = len(targets)
-    if g.shape[-1] != 2**m:
-        raise BadTargets(f"gate dimension {g.shape[-1]} does not match {m} targets")
-    if len(set(targets)) != m or any(not (0 <= t < n) for t in targets):
-        raise BadTargets(f"targets {targets} invalid for {n} qubits")
-    # axis for qubit q in the reshaped tensor is n-1-q (row-major, little-endian)
-    product, layout = apply_in_layout(
-        state.reshape(lead + (2,) * n + (-1,)), list(range(n + 1)), g, [n - 1 - t for t in targets], stack=stack
-    )
-    back = list(range(stack + n + 1))  # a loop: np.argsort costs several times more on so short a list
-    for k, a in enumerate(layout, stack):
-        back[stack + a] = k
-    return product.transpose(back).reshape(state.shape)
-
-
 def apply_in_layout(
     block: np.ndarray, layout: list[int], g: np.ndarray, axes: list[int], *, stack: int = 0
 ) -> tuple[np.ndarray, list[int]]:
@@ -202,12 +169,33 @@ def apply_in_layout(
     return product.reshape(moved.shape), [layout[k] for k in order]
 
 
-def embed_gate(g: np.ndarray, targets: list[int], num_qubits: int) -> np.ndarray:
-    """Dense 2^n x 2^n operator acting as ``g`` on ``targets``, identity
-    elsewhere; one per gate of a stack."""
+def embed_gate(g: np.ndarray, targets: list[int], num_qubits: int, columns: slice = slice(None)) -> np.ndarray:
+    """The ``columns`` (all by default) of the dense 2^n x 2^n operator acting
+    as ``g`` on ``targets``, identity elsewhere; one per gate of a stack.
+
+    ``targets[0]`` addresses the highest-index qubit slot of ``g``, matching
+    the ``tensor`` convention.  No product is taken: column c is g's column
+    t(c), the slot index of c's target bits, plus 0.0, on the rows whose other
+    bits equal c's, and zero elsewhere.  These are the bits of ``g`` times
+    identity columns by sums that start from 0.0, so a -0.0 of ``g`` gives 0.0.
+    """
     g = as_matrix(g)
-    lead, dim = g.shape[:-2], 2**num_qubits
-    return apply_gate(np.broadcast_to(np.eye(dim, dtype=complex), lead + (dim, dim)), g, targets, stack=len(lead))
+    m, dim = len(targets), 2**num_qubits
+    if g.shape[-1] != 2**m:
+        raise BadTargets(f"gate dimension {g.shape[-1]} does not match {m} targets")
+    if len(set(targets)) != m or any(not (0 <= t < num_qubits) for t in targets):
+        raise BadTargets(f"targets {targets} invalid for {num_qubits} qubits")
+    if m == num_qubits and all(t == m - 1 - i for i, t in enumerate(targets)):  # g in its own index order
+        return g[..., :, columns] + 0.0
+    cols = np.arange(dim)[columns]
+    bits = np.left_shift(1, targets)  # each target's bit of a basis index
+    slot_bits = np.left_shift(1, np.arange(m - 1, -1, -1))  # its bit of g's index, targets[0] the highest
+    sub = (cols[:, None] & bits > 0) @ slot_bits
+    places = (np.arange(2**m)[:, None] & slot_bits > 0) @ bits  # g's index -> the target bits
+    rows = (cols & ~bits.sum()) | places[:, None]
+    out = np.zeros(g.shape[:-2] + (dim, len(cols)), dtype=complex)
+    out[..., rows, np.arange(len(cols))] = g[..., :, sub] + 0.0
+    return out
 
 
 def random_unitary(dim: int, rng: np.random.Generator, size: tuple[int, ...] = ()) -> np.ndarray:

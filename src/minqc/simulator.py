@@ -9,13 +9,14 @@ lifetimes (first to last use), which tile the step list.  No ancilla is live
 across a segment boundary, so each segment acts on the register as one
 operator on the register qubits it touches.  A segment is simulated on all
 basis inputs of just those qubits as one stack of statevectors (each input
-still its own product, so the bits are those of one input at a time):
-ancillas attach at first use and are factored out (with a purity check)
-right after their last use, so the live dimension is 2^(segment qubits +
-concurrently live ancillas).  The segment operators are then composed into
-the 2^n x 2^n register operator.  By linearity an ancilla exits in one fixed
-pure state for every register input exactly when it does so for every basis
-input of its segment's qubits.
+still its own product, so the bits are those of one input at a time), kept
+in the axis order its last product left: ancillas attach in front at first
+use and are factored out (with a purity check) right after their last use,
+so the live dimension is 2^(segment qubits + concurrently live ancillas).
+The segment operators are then composed into the 2^n x 2^n register
+operator, each block of columns starting as a copy of the first operator's.
+By linearity an ancilla exits in one fixed pure state for every register
+input exactly when it does so for every basis input of its segment's qubits.
 
 Text format, one directive per line ('#' starts a comment):
 
@@ -34,7 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import AncillaEntangledAtExit, ScheduleInvalid, ScheduleParseError
-from .linalg import apply_gate, apply_in_layout, dist_phase, frobenius
+from .linalg import apply_in_layout, dist_phase, embed_gate, frobenius
 
 # Purity-deficit bands: below DECOUPLE_ATOL is clean product form, between the
 # two the run proceeds with a warning, above WARN_ATOL the ancilla is declared
@@ -173,13 +174,14 @@ def run(schedule: Schedule, prep_overrides: dict[str, np.ndarray] | None = None)
             f"ancilla {ancillas[s]!r}: purity deficit {deficit:.3e} above clean threshold" for s, deficit in above_clean
         )
         operators.append((operator, qubits))
-    report.register_unitary = _compose(operators, schedule.register_size)
+    report.register_unitary = _compose(_fuse(operators), schedule.register_size)
     return report
 
 
 def _prep_states(schedule: Schedule, overrides: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
     """Each ancilla's normalized preparation: its basis state unless overridden."""
-    preps = {a: np.eye(2, dtype=complex)[bit] for a, bit in schedule.preps.items()}
+    basis = np.broadcast_to(np.eye(2, dtype=complex), (2, 2))  # read-only: its rows serve every basis preparation
+    preps = {a: basis[bit] for a, bit in schedule.preps.items()}
     for ancilla, prep in overrides.items():
         prep = np.asarray(prep, dtype=complex).reshape(-1)
         with np.errstate(over="ignore", invalid="ignore"):
@@ -230,9 +232,10 @@ def _run_segment(
     returns (the 2^k x 2^k operator they induce, [(slot, exit state)] in
     detach order, the deficit of each slot, [(slot, deficit)] for each
     deficit above the clean threshold in (input, step) order), with the
-    segment's ancillas named by ``slot``.  Each detach judges every input of
-    the stack at once.  If any input is rejected, the lowest rejected input
-    raises at its first failing step, as one input at a time would.
+    segment's ancillas named by ``slot``.  The stack keeps the axis order of
+    its last product; each detach copies it once and judges every input at
+    once.  The lowest rejected input, if any, raises at its first failing
+    step, as one input at a time would.
     """
     start, stop, qubits, live_qubits = segment
     steps = schedule.steps[start:stop]
@@ -244,31 +247,39 @@ def _run_segment(
     above_clean: list[tuple[int, float]] = []
 
     chunk = 2 ** (MAX_LIVE_QUBITS - live_qubits)
+    register_axes = list(range(len(qubits) - 1, -1, -1))  # the register's qubits in index order
     for lo in range(0, sub_dim, chunk):
-        state = np.eye(min(chunk, sub_dim - lo), sub_dim, lo, dtype=complex)  # row c: input lo + c
-        live: list[str] = []  # attached ancillas; live[p] sits on qubit len(qubits) + p
+        rows = min(chunk, sub_dim - lo)
+        state = np.eye(rows, sub_dim, lo, dtype=complex).reshape((rows,) + (2,) * len(qubits))  # row c: input lo + c
+        layout = register_axes  # axis 1 + k holds layout[k]: a sub-register qubit, or an ancilla by name
+        live: list[str] = []  # attached ancillas; live[p] is qubit len(qubits) + p of the index order
         rejected: dict[int, tuple] = {}  # input -> its first failing (step, ancilla, own, ref)
         warned: list[tuple[int, int, int, float]] = []  # (input, step, slot, deficit)
 
         for i, step in enumerate(steps, start):
             if step.ancilla not in live:
                 live.append(step.ancilla)
-                # each row becomes tensor(prep, row)
-                state = (preps[step.ancilla][:, None] * state[:, None, :]).reshape(len(state), -1)
-            position = len(qubits) + live.index(step.ancilla)
+                # each row becomes tensor(prep, row), the ancilla's axis in front; prep is the
+                # first factor, since numpy's complex product may round differently swapped
+                state = preps[step.ancilla].reshape((2,) + (1,) * (state.ndim - 1)) * state[:, None]
+                layout = [step.ancilla] + layout
             gate = schedule.interactions[step.interaction]
-            state = apply_gate(state, gate, [local[step.register_qubit], position], stack=1)
+            state, layout = apply_in_layout(state, layout, gate, [local[step.register_qubit], step.ancilla], stack=1)
 
             if last_use[step.ancilla] == i:
                 live.remove(step.ancilla)
                 s = slot[step.ancilla]
-                state, chi, own, ref = _detach(state, position, exit_states.get(s))
+                order = [step.ancilla] + live[::-1] + register_axes  # its bit, then the rest in index order
+                blocks = state.transpose([0] + [1 + layout.index(a) for a in order]).reshape(rows, 2, -1)
+                state, chi, own, ref = _detach(blocks, exit_states.get(s))
+                state, layout = state.reshape((rows,) + (2,) * len(order[1:])), order[1:]
                 exit_states.setdefault(s, chi)
                 deficit = np.maximum(own, ref)
-                for c in np.flatnonzero(deficit >= WARN_ATOL):
-                    rejected.setdefault(lo + c, (i, step.ancilla, own[c], ref[c]))
-                deficits[s] = max(deficits[s], float(deficit.max()))
-                warned.extend((lo + c, i, s, float(deficit[c])) for c in np.flatnonzero(deficit >= DECOUPLE_ATOL))
+                deficits[s] = max(deficits[s], worst := float(deficit.max()))
+                if not worst < DECOUPLE_ATOL:  # NaN, from a zero row, fails the test too
+                    for c in np.flatnonzero(deficit >= WARN_ATOL):
+                        rejected.setdefault(lo + c, (i, step.ancilla, own[c], ref[c]))
+                    warned.extend((lo + c, i, s, float(deficit[c])) for c in np.flatnonzero(deficit >= DECOUPLE_ATOL))
 
         if rejected:
             c = min(rejected)
@@ -280,7 +291,7 @@ def _run_segment(
                 else f"ancilla {ancilla!r} exits step {i} in a different state for {where} (residual {ref:.3e})"
             )
         above_clean.extend((s, deficit) for _, _, s, deficit in sorted(warned))
-        operator[:, lo:lo + len(state)] = state.T
+        operator[:, lo:lo + rows] = state.reshape(rows, -1).T  # the last detach left index order
 
     return operator, list(exit_states.items()), deficits, above_clean
 
@@ -295,41 +306,44 @@ def _fuse(operators: list[tuple[np.ndarray, tuple[int, ...]]]) -> list[tuple[np.
             joint = tuple(sorted(set(prev_qubits) | set(qubits)))
             if len(joint) <= FUSE_QUBITS:
                 pos = {q: j for j, q in enumerate(joint)}
-                product = np.eye(2 ** len(joint), dtype=complex)
-                product = apply_gate(product, prev, [pos[q] for q in reversed(prev_qubits)])
-                product = apply_gate(product, operator, [pos[q] for q in reversed(qubits)])
-                fused[-1] = (product, joint)
+                pair = [(prev, tuple(pos[q] for q in prev_qubits)), (operator, tuple(pos[q] for q in qubits))]
+                fused[-1] = (_compose(pair, len(joint)), joint)
                 continue
         fused.append((operator, qubits))
     return fused
 
 
 def _compose(operators: list[tuple[np.ndarray, tuple[int, ...]]], register_size: int) -> np.ndarray:
-    """Register operator of the segment operators applied in order.
+    """Register operator of the operators applied in order (the identity for none).
 
-    The operators are first fused (:func:`_fuse`).  The register operator is
-    then built ``COLUMN_BLOCK`` columns at a time, so each block stays in
-    cache while every fused operator is applied to it.  A block stays in the
-    axis order its last product left (:func:`~minqc.linalg.apply_in_layout`)
-    and is transposed into the register operator once, after its last product.
+    One operator on every register qubit is the register operator, plus 0.0
+    in place.  Otherwise it is built ``COLUMN_BLOCK`` columns at a time, each
+    block in cache while every operator is applied to it: a copy of the first
+    operator's columns (:func:`~minqc.linalg.embed_gate`), then one product
+    per other operator in the axis order the last one left
+    (:func:`~minqc.linalg.apply_in_layout`), transposed once at the end.
     """
-    fused = _fuse(operators)
+    if not operators:
+        return np.eye(2**register_size, dtype=complex)
+    if len(operators) == 1 and len(operators[0][1]) == register_size:
+        return np.add(operators[0][0], 0.0, out=operators[0][0])
     reg_dim = 2**register_size
     width = min(reg_dim, COLUMN_BLOCK)
     tensor_shape = (2,) * register_size + (width,)  # axis n-1-q holds qubit q, the last the columns
     register_unitary = np.empty((reg_dim, reg_dim), dtype=complex)
+    (first, first_qubits), rest = operators[0], operators[1:]
     for col in range(0, reg_dim, width):
-        block = np.eye(reg_dim, width, -col, dtype=complex).reshape(tensor_shape)
+        block = embed_gate(first, first_qubits[::-1], register_size, slice(col, col + width)).reshape(tensor_shape)
         layout = list(range(register_size + 1))
-        for operator, qubits in fused:
+        for operator, qubits in rest:
             block, layout = apply_in_layout(block, layout, operator, [register_size - 1 - q for q in reversed(qubits)])
         # splitting the row axis of the column slice is a view, so this writes the slice
         register_unitary[:, col:col + width].reshape(tensor_shape).transpose(layout)[...] = block
     return register_unitary
 
 
-def _detach(states: np.ndarray, position: int, reference: np.ndarray | None):
-    """Factor one qubit out of each state (row) of a stack.
+def _detach(blocks: np.ndarray, reference: np.ndarray | None):
+    """Factor the qubit of axis 1 out of each (2, -1) block of a stack, one state per row.
 
     Returns (rest, exit_state, own, ref): for every row, the purity deficit
     of the qubit's reduced state and the residual against the exit state,
@@ -340,8 +354,6 @@ def _detach(states: np.ndarray, position: int, reference: np.ndarray | None):
     consistent exit across columns and keeps the factored phases coherent
     so the register operator is well defined up to one overall phase.
     """
-    # index = (higher qubits, the qubit, lower qubits): the qubit's bit moves in front
-    blocks = states.reshape(len(states), -1, 2, 2**position).swapaxes(1, 2).reshape(len(states), 2, -1)
     evals, evecs = np.linalg.eigh(blocks @ blocks.conj().swapaxes(1, 2))
     chi = reference if reference is not None else _canonical_phase(evecs[0, :, -1])
     rest = chi.conj() @ blocks

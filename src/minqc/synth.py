@@ -338,7 +338,7 @@ def synthesize(
         raise ValueError("epsilon must be positive and finite")
 
     levels = _levels_for(g0, g1)
-    min_overlap = 1 - epsilon**2 / 4 - _OVERLAP_MARGIN
+    min_overlap = 1 - min(epsilon, 2.0)**2 / 4 - _OVERLAP_MARGIN  # every distance is at most 2
     for n in range(max_len + 1):
         try:
             prefixes = levels.level((n + 1) // 2)

@@ -90,6 +90,16 @@ def test_synth_commuting_generators_exhausts(capsys):
     assert "error" in report and "word" not in report
 
 
+@pytest.mark.parametrize("eps", ["1e200", "1e308"])
+def test_synth_at_a_huge_epsilon_returns_the_empty_word(capsys, eps):
+    # eps**2 overflows a float; every word is within eps, so the empty one is first
+    code, out, err = run_cli(capsys, ["synth", "--gens", "H,THT", "--target", "T", "--eps", eps])
+    assert code == 0 and err == ""
+    report = json.loads(out)
+    assert report["word"] == [] and report["length"] == 0
+    assert report["epsilon"] == float(eps)
+
+
 def test_synth_bad_gate_expression(capsys):
     code, _, err = run_cli(capsys, ["synth", "--gens", "T,FROB", "--target", "H", "--eps", "0.1"])
     assert code == 2

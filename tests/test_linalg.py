@@ -2,13 +2,15 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from minqc import linalg
 from minqc.errors import BadTargets, DimensionMismatch, NonHermitianInput
 from minqc.gates import I2, X, Z, cz_gate, hadamard
 from minqc.linalg import (
     UNITARY_ATOL,
-    apply_gate,
+    apply_in_layout,
     dist_phase,
     embed_gate,
     herm_exp,
@@ -33,7 +35,7 @@ def kron_oracle(a, b):
 
 
 def embed_oracle(g, targets, n):
-    """Dense embedding by explicit bit bookkeeping (independent of apply_gate)."""
+    """Dense embedding by explicit bit bookkeeping (independent of apply_in_layout)."""
     dim = 2**n
     m = len(targets)
     out = np.zeros((dim, dim), dtype=complex)
@@ -47,6 +49,33 @@ def embed_oracle(g, targets, n):
             row = sum(new_bits[q] << q for q in range(n))
             out[row, col] += g[sub_out, sub_in]
     return out
+
+
+def apply_gate(state, g, targets, *, stack=0):
+    """``g`` applied to the listed qubits of ``state``, as a product in the
+    state's own axis order: the former ``linalg.apply_gate``, kept as an oracle.
+
+    The first ``stack`` axes of ``state`` index states that each take their
+    own product with ``g``; the next holds the 2^n basis amplitudes; any
+    trailing axes are batch columns.  ``targets[0]`` addresses the
+    highest-index qubit slot of ``g``.
+    """
+    g = linalg.as_matrix(g)
+    state = np.asarray(state)
+    lead = state.shape[:stack]
+    n = state.shape[stack].bit_length() - 1
+    product, layout = apply_in_layout(
+        state.reshape(lead + (2,) * n + (-1,)), list(range(n + 1)), g, [n - 1 - t for t in targets], stack=stack
+    )
+    back = list(range(stack + n + 1))
+    for k, a in enumerate(layout, stack):
+        back[stack + a] = k
+    return product.transpose(back).reshape(state.shape)
+
+
+def in_qubit_order(block, layout):
+    """A block that ``apply_in_layout`` left in ``layout``, back in its logical axis order."""
+    return block.transpose(np.argsort(layout))
 
 
 def test_tensor_identity():
@@ -223,13 +252,17 @@ def basis(n, index):
 
 
 def test_apply_x_on_qubit0():
-    out = apply_gate(basis(2, 0), X, [0])
-    np.testing.assert_allclose(out, [0, 1, 0, 0], atol=1e-15)
+    np.testing.assert_allclose(embed_gate(X, [0], 2) @ basis(2, 0), [0, 1, 0, 0], atol=1e-15)
+    # axis 1 of the (2, 2) state holds qubit 0
+    out, layout = apply_in_layout(basis(2, 0).reshape(2, 2), [0, 1], X, [1])
+    assert layout == [1, 0]
+    np.testing.assert_allclose(in_qubit_order(out, layout).reshape(-1), [0, 1, 0, 0], atol=1e-15)
 
 
 def test_apply_cz_on_11():
-    out = apply_gate(basis(2, 3), cz_gate(), [1, 0])
-    np.testing.assert_allclose(out, [0, 0, 0, -1], atol=1e-15)
+    np.testing.assert_allclose(embed_gate(cz_gate(), [1, 0], 2) @ basis(2, 3), [0, 0, 0, -1], atol=1e-15)
+    out, layout = apply_in_layout(basis(2, 3).reshape(2, 2), [0, 1], cz_gate(), [0, 1])
+    np.testing.assert_allclose(in_qubit_order(out, layout).reshape(-1), [0, 0, 0, -1], atol=1e-15)
 
 
 def test_apply_h_on_qubit2_matches_dense_oracle():
@@ -237,33 +270,32 @@ def test_apply_h_on_qubit2_matches_dense_oracle():
     amps = rng.standard_normal(16) + 1j * rng.standard_normal(16)
     amps /= np.linalg.norm(amps)
     h = hadamard()
-    out = apply_gate(amps, h, [2])
     dense = np.kron(np.kron(I2, h), np.kron(I2, I2))  # qubits (3,2,1,0)
-    np.testing.assert_allclose(out, dense @ amps, atol=1e-12)
+    np.testing.assert_allclose(embed_gate(h, [2], 4) @ amps, dense @ amps, atol=1e-12)
+    out, layout = apply_in_layout(amps.reshape(2, 2, 2, 2), [0, 1, 2, 3], h, [1])
+    np.testing.assert_allclose(in_qubit_order(out, layout).reshape(-1), dense @ amps, atol=1e-12)
 
 
-def test_apply_gate_rejects_bad_targets():
-    psi = basis(2, 0)
+def test_embed_gate_rejects_bad_targets():
     with pytest.raises(BadTargets):
-        apply_gate(psi, X, [2])
+        embed_gate(X, [2], 2)
     with pytest.raises(BadTargets):
-        apply_gate(psi, cz_gate(), [0, 0])
+        embed_gate(X, [-1], 2)
     with pytest.raises(BadTargets):
-        apply_gate(psi, cz_gate(), [0])
-
-
-def test_apply_gate_rejects_non_power_of_two_state():
-    for shape in ((3,), (6, 2), (0,)):
-        with pytest.raises(DimensionMismatch):
-            apply_gate(np.ones(shape, dtype=complex), X, [0])
+        embed_gate(cz_gate(), [0, 0], 2)
+    with pytest.raises(BadTargets):
+        embed_gate(cz_gate(), [0], 2)
+    with pytest.raises(BadTargets):
+        embed_gate(X, [0, 1], 2)
 
 
 def test_random_circuit_reconstruction_matches_dense_product():
+    # every basis input as one block, kept in the layout of its last product
     rng = np.random.default_rng(31)
     n = 3
     for _ in range(10):
         dense = np.eye(2**n, dtype=complex)
-        reconstructed = np.eye(2**n, dtype=complex)  # every basis input as one batch
+        block, layout = np.eye(2**n, dtype=complex).reshape((2,) * n + (-1,)), list(range(n + 1))
         for _ in range(int(rng.integers(1, 11))):
             if rng.random() < 0.5:
                 g = random_unitary(2, rng)
@@ -272,7 +304,8 @@ def test_random_circuit_reconstruction_matches_dense_product():
                 g = random_unitary(4, rng)
                 targets = list(rng.choice(n, size=2, replace=False).astype(int))
             dense = embed_oracle(g, targets, n) @ dense
-            reconstructed = apply_gate(reconstructed, g, targets)
+            block, layout = apply_in_layout(block, layout, g, [n - 1 - t for t in targets])
+        reconstructed = in_qubit_order(block, layout).reshape(2**n, -1)
         np.testing.assert_allclose(np.linalg.norm(reconstructed, axis=0), 1.0, atol=1e-12)
         np.testing.assert_allclose(reconstructed, dense, atol=1e-10)
 
@@ -284,16 +317,22 @@ def test_batched_apply_equals_column_by_column():
     rng = np.random.default_rng(41)
     for n, m, batch in ((1, 1, 3), (2, 1, 4), (3, 2, 5), (4, 3, 8), (5, 2, 2)):
         g = rng.integers(-3, 4, (2**m, 2**m)) + 1j * rng.integers(-3, 4, (2**m, 2**m))
-        targets = list(rng.choice(n, size=m, replace=False).astype(int))
+        axes = list(rng.choice(n, size=m, replace=False).astype(int))
         states = rng.integers(-3, 4, (2**n, batch)) + 1j * rng.integers(-3, 4, (2**n, batch))
-        columns = np.stack([apply_gate(states[:, b], g, targets) for b in range(batch)], axis=1)
-        assert np.array_equal(apply_gate(states, g, targets), columns)
-        # further trailing axes are batch axes too
-        cube = states.reshape(2**n, 1, batch)
-        assert np.array_equal(apply_gate(cube, g, targets), columns.reshape(cube.shape))
+        layout = list(range(n + 1))
+        out, out_layout = apply_in_layout(states.reshape((2,) * n + (batch,)), layout, g, axes)
+        columns = [apply_in_layout(states[:, b].reshape((2,) * n + (1,)), layout, g, axes) for b in range(batch)]
+        assert all(column_layout == out_layout for _, column_layout in columns)
+        assert np.array_equal(out, np.concatenate([column for column, _ in columns], axis=-1))
+        # a stack of states, each with its own product, equals them one at a time
+        stacked, stacked_layout = apply_in_layout(states.T.reshape((batch,) + (2,) * n), layout[:n], g, axes, stack=1)
+        assert all(np.array_equal(stacked[b], apply_in_layout(states[:, b].reshape((2,) * n), layout[:n], g, axes)[0])
+                   for b in range(batch))
         u = random_unitary(2**m, rng)
-        unitary_columns = np.stack([apply_gate(states[:, b], u, targets) for b in range(batch)], axis=1)
-        np.testing.assert_allclose(apply_gate(states, u, targets), unitary_columns, rtol=0, atol=1e-14)
+        out, _ = apply_in_layout(states.reshape((2,) * n + (batch,)), layout, u, axes)
+        unitary_columns = [apply_in_layout(states[:, b].reshape((2,) * n + (1,)), layout, u, axes)[0]
+                           for b in range(batch)]
+        np.testing.assert_allclose(out, np.concatenate(unitary_columns, axis=-1), rtol=0, atol=1e-14)
 
 
 def test_embed_gate_matches_oracle():
@@ -308,3 +347,48 @@ def test_embed_gate_is_exact():
     for targets, n in (([0], 1), ([1], 3), ([2, 0], 3), ([0, 1], 3), ([3, 0, 2], 4)):
         g = random_unitary(2 ** len(targets), rng)
         np.testing.assert_allclose(embed_gate(g, targets, n), embed_oracle(g, targets, n), atol=0)
+
+
+# Gate entries include signed zeros: the copy must reproduce the sums'
+# 0.0 wherever the product with identity columns gives it.
+ENTRIES = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, -0.75, 1e-300, -3.25e17])
+
+
+@st.composite
+def embeddings(draw):
+    """(gate or stack of gates, ordered targets, qubits, column start, column stop)."""
+    n = draw(st.integers(1, 4))
+    targets = draw(st.permutations(range(n)))[:draw(st.integers(1, n))]
+    lead = draw(st.sampled_from([(), (1,), (2,), (2, 3)]))
+    d = 2 ** len(targets)
+    shape = lead + (d, d)
+    size = int(np.prod(shape))
+    re = draw(st.lists(ENTRIES, min_size=size, max_size=size))
+    im = draw(st.lists(ENTRIES, min_size=size, max_size=size))
+    g = np.empty(shape, dtype=complex)  # set part by part, so the signed zeros stay
+    g.real, g.imag = np.reshape(re, shape), np.reshape(im, shape)
+    start = draw(st.integers(0, 2**n - 1))
+    stop = draw(st.integers(start + 1, 2**n))
+    return g, list(targets), n, start, stop
+
+
+def identity_columns_oracle(g, targets, n, start, stop):
+    """``apply_gate`` on columns ``start:stop`` of the identity, each column
+    four times along a batch axis.  A BLAS kernel for the last one to three
+    columns of a product may keep -0.0 where every term of a sum is -0.0;
+    with a multiple of four product columns, every column runs the main
+    kernel, whose sums start from 0.0."""
+    lead, dim = g.shape[:-2], 2**n
+    identity = np.broadcast_to(np.eye(dim, dtype=complex), lead + (dim, dim))
+    columns = np.repeat(identity[..., start:stop, None], 4, axis=-1)
+    return np.ascontiguousarray(apply_gate(columns, g, targets, stack=len(lead))[..., 0])
+
+
+@settings(max_examples=200, deadline=None)
+@given(embeddings())
+def test_embed_gate_copy_has_the_bits_of_apply_gate_on_identity_columns(drawn):
+    g, targets, n, start, stop = drawn
+    expected = identity_columns_oracle(g, targets, n, 0, 2**n)
+    assert embed_gate(g, targets, n).tobytes() == expected.tobytes()
+    expected = identity_columns_oracle(g, targets, n, start, stop)
+    assert embed_gate(g, targets, n, slice(start, stop)).tobytes() == expected.tobytes()

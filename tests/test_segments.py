@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 from minqc.catalog import standard_interactions
 from minqc.errors import AncillaEntangledAtExit
 from minqc.gates import cnot_gate, hadamard, swap_gate
-from minqc.linalg import apply_gate, dist_phase, embed_gate, herm_exp, tensor
+from minqc.linalg import dist_phase, embed_gate, herm_exp, random_unitary, tensor
 from minqc import simulator
 from minqc.simulator import (
     DECOUPLE_ATOL,
@@ -35,6 +35,7 @@ from minqc.simulator import (
     schedule_from_text,
     schedule_to_text,
 )
+from test_linalg import apply_gate  # the former linalg.apply_gate, kept as an oracle
 
 INTERACTIONS = standard_interactions()
 
@@ -191,7 +192,7 @@ def one_input_at_a_time(schedule: Schedule, overrides):
                 deficits[step.ancilla] = max(deficits[step.ancilla], own, ref)
             operator[:, col] = state
         operators.append((operator, qubits))
-    return simulator._compose(operators, schedule.register_size), exits, deficits, warnings
+    return simulator._compose(simulator._fuse(operators), schedule.register_size), exits, deficits, warnings
 
 
 # One segment whose ancillas a (qubit 0, exits step 2) and b (qubit 1, exits
@@ -223,9 +224,34 @@ ZERO_ROW = Schedule(
 )
 
 
+# Three ancillas live when a0 detaches, under two generic near-identity
+# interactions: the detach's bits depend on the order of the other qubits in
+# its blocks, which must be their index order, as one input at a time has it.
+_re, _im = np.random.default_rng(0).standard_normal((2, 2, 4, 4))
+_h = _re + 1j * _im
+THREE_LIVE = Schedule(
+    3, {"a0": 1, "a1": 1, "a2": 0},
+    [Step(g, q, a) for g, q, a in (("g2", 1, "a0"), ("g1", 0, "a1"), ("g1", 2, "a2"),
+                                   ("g1", 0, "a0"), ("g2", 0, "a1"), ("g1", 2, "a2"))],
+    dict(zip(("g1", "g2"), herm_exp(_h + _h.conj().swapaxes(-1, -2), 1e-4))),
+)
+
+# a3 attaches, with a generic preparation, to rows of generic amplitudes:
+# the products keep the bits of tensor(prep, row) only with prep the first factor.
+GENERIC_ATTACH = Schedule(
+    3, {"a0": 0, "a1": 0, "a2": 1, "a3": 0},
+    [Step(g, q, a) for g, q, a in (("cz_plain", 0, "a0"), ("cz_t", 1, "a1"), ("cz_t", 1, "a2"), ("swap_plain", 0, "a3"),
+                                   ("swap_plain", 0, "a3"), ("cz_plain", 1, "a0"), ("cz_plain", 0, "a0"),
+                                   ("cz_plain", 1, "a0"))],
+    INTERACTIONS,
+)
+
+
 @settings(max_examples=200, deadline=None)
 @given(schedules(), st.integers(0, 2))
 @example(drawn=(NEARLY_SWAPS, {}), slack=2)
+@example(drawn=(THREE_LIVE, {}), slack=0)
+@example(drawn=(GENERIC_ATTACH, {"a0": OVERRIDES[1], "a3": OVERRIDES[2]}), slack=0)
 @example(drawn=(TWO_SELECTIONS, {"b": OVERRIDES[0]}), slack=0)
 @example(drawn=(NEARLY_SWAPS_TWICE, {}), slack=0)
 @example(drawn=(ZERO_ROW, {"a1": OVERRIDES[0]}), slack=0)
@@ -365,6 +391,32 @@ def test_compose_matches_one_apply_gate_per_fused_operator(monkeypatch, fuse_qub
             expected[:, col:col + width] = block
         assert register_size == n
         assert np.array_equal(unitary, expected)
+
+
+def test_compose_of_no_operator_is_the_identity():
+    # an empty schedule: no segment, so no operator to start a block from
+    unitary = run(schedule_from_text("REGISTER 3\n", INTERACTIONS)).register_unitary
+    assert unitary.tobytes() == np.eye(8, dtype=complex).tobytes()
+
+
+@pytest.mark.parametrize("column_block", [2, 64])
+def test_compose_of_one_operator_on_every_qubit_is_that_operator(monkeypatch, column_block):
+    monkeypatch.setattr(simulator, "COLUMN_BLOCK", column_block)
+    segment_operators = []
+    run_segment = simulator._run_segment
+
+    def recording(*args):
+        result = run_segment(*args)
+        segment_operators.append(result[0])
+        return result
+
+    monkeypatch.setattr(simulator, "_run_segment", recording)
+    schedule = schedule_from_text((resources.files("minqc") / "data" / "sct_two_qubit.sched").read_text(), INTERACTIONS)
+    unitary = run(schedule).register_unitary
+    assert len(segment_operators) == 1
+    assert np.array_equal(unitary, segment_operators[0])
+    operator = random_unitary(8, np.random.default_rng(5))
+    assert np.array_equal(simulator._compose([(operator.copy(), (0, 1, 2))], 3), operator)
 
 
 def test_interleaved_lifetimes_match_dense_reference():
