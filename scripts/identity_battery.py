@@ -32,11 +32,11 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
-from minqc import cli, simulator, swap_model, synth  # noqa: E402
+from minqc import cli, locequiv, simulator, swap_model, synth  # noqa: E402
 from minqc.catalog import parse_gate_spec, sct_instance, standard_interactions  # noqa: E402
 from minqc.errors import AncillaEntangledAtExit, SearchExhausted  # noqa: E402
-from minqc.gates import hadamard, swap_gate  # noqa: E402
-from minqc.linalg import herm_exp, random_unitary  # noqa: E402
+from minqc.gates import cz_gate, hadamard, swap_gate  # noqa: E402
+from minqc.linalg import herm_exp, random_unitary, tensor  # noqa: E402
 from workloads import random_schedule  # noqa: E402
 
 WALL_TIME = re.compile(rb'"wall_time_s": [0-9.e+-]+')
@@ -169,6 +169,28 @@ def universality_cases() -> None:
            for r in reports))
 
 
+def stacked_gate_cases() -> None:
+    """``is_entangling`` and the swap model's two-interaction residual on
+    seeded stacks, digested per gate.  The two-qubit stack mixes the
+    non-entangling classes (identity, SWAP, local gates and SWAP times local
+    gates), which take the product-state fallback, with CZ and Haar gates."""
+    rng = np.random.default_rng(34)
+    local = tensor(random_unitary(2, rng, (6,)), random_unitary(2, rng, (6,)))
+    weak = herm_exp(np.diag([1.0, -1.0, -1.0, 1.0]).astype(complex), 1e-5)  # near the identity's class, entangling
+    gates = np.concatenate([
+        np.eye(4, dtype=complex)[None], swap_gate()[None], local, swap_gate() @ local,
+        cz_gate()[None], (weak @ local[0])[None], random_unitary(4, rng, (4,)),
+    ])
+    gates = gates[rng.permutation(len(gates))].reshape(5, 4, 4, 4)
+    emit(f"is_entangling on a {gates.shape[:-2]} stack", "ok", locequiv.is_entangling(gates).tobytes())
+    angles = rng.uniform(-7, 7, (3, 12))
+    angles[1:, :4] = 0.0  # no local rotation offsets, so no phase per preparation branch
+    stack = swap_model.swap_interaction(random_unitary(2, rng, (12,)), *angles)
+    for bit in (0, 1):
+        emit(f"swap_model.action_residual(., {bit}) on a (12,) stack", "ok",
+             swap_model.action_residual(stack, bit).tobytes())
+
+
 def run_outcome(schedule, overrides=None) -> tuple[str, list]:
     try:
         report = simulator.run(schedule, prep_overrides=overrides)
@@ -235,6 +257,7 @@ def main() -> int:
     synthesis_cases()
     axis_angle_cases()
     universality_cases()
+    stacked_gate_cases()
     simulator_cases()
     return 0
 

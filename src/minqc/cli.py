@@ -28,7 +28,7 @@ import numpy as np
 from . import __version__, catalog, cz_model, hamiltonian, locequiv, swap_model, synth
 from .errors import AncillaEntangledAtExit, DimensionMismatch, SearchExhausted
 from .gates import I2, Z, cz_gate, hadamard, swap_gate, t_gate
-from .linalg import adjoint, dist_phase, frobenius, ginibre_unitary, per_matrix, random_unitary, require_unitary
+from .linalg import adjoint, dist_phase, frobenius, ginibre_unitary, random_unitary, require_unitary
 from .simulator import run as run_schedule
 from .simulator import schedule_from_text, verify_against
 from .synth import GateWord, NOT_UNIVERSAL, PLAUSIBLY_UNIVERSAL, word_product
@@ -187,7 +187,7 @@ def _suite_l(seed: int, trials: int) -> list[dict]:
         closed, residual = swap_model.sandwich(l)
         decouple.append(residual.max())
         entangling.append(locequiv.is_entangling(closed).all())
-        asymmetries.append(per_matrix(dist_phase, closed, swap @ closed @ swap))
+        asymmetries.append(dist_phase(closed, swap @ closed @ swap))
     checks.append(_check(suite, "three-interaction sequence decouples the ancilla in u|0> and matches the closed form", max(decouple), swap_model.SANDWICH_ATOL))
     checks.append(_bool_check(suite, "induced entangler is entangling for nontrivial phase angles", all(entangling)))
     # exchange symmetry only occurs on a measure-zero parameter set; assert
@@ -293,7 +293,7 @@ def _suite_universality(seed: int, trials: int) -> list[dict]:
     checks.append(_bool_check(suite, "verdicts: {T,HT} plausibly universal, {Z,T} rejected", verdicts_ok))
 
     residual = max(
-        per_matrix(dist_phase, synth.from_axis_angle(synth.axis_angle(g)), g).max()
+        dist_phase(synth.from_axis_angle(synth.axis_angle(g)), g).max()
         for g in _draws(seed, suite, 5, trials, lambda rng, n: random_unitary(2, rng, (n,)))
     )
     checks.append(_check(suite, "axis-angle decomposition reconstructs Haar draws", residual, 1e-11))

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import FactorizationFailure
 from .gates import I2, X, Y, Z, hadamard, phase_gate, swap_controlled_phase
-from .linalg import dist_phase, frobenius, herm_exp, per_matrix, tensor
+from .linalg import dist_phase, frobenius, herm_exp, tensor
 from .swap_model import SwapInteraction, swap_interaction
 
 EVOLUTION_TIME = 0.25
@@ -44,7 +44,7 @@ def product_form(theta) -> np.ndarray:
 
 def _evolution(theta) -> tuple[np.ndarray, np.ndarray]:
     u = herm_exp(xxz_hamiltonian(theta), EVOLUTION_TIME)
-    return u, per_matrix(dist_phase, u, product_form(theta))
+    return u, dist_phase(u, product_form(theta))
 
 
 def evolution_residual(theta):
@@ -78,7 +78,7 @@ def derived_swap_instance(theta) -> SwapInteraction:
     rotation = ancilla_rotation(theta)
     composite = tensor(I2, rotation) @ evolve(theta)
     instance = swap_interaction(rotation, theta, -theta / 2, -theta / 2)
-    if np.any(per_matrix(dist_phase, composite, instance.matrix) >= DERIVED_ATOL):
+    if np.any(dist_phase(composite, instance.matrix) >= DERIVED_ATOL):
         raise FactorizationFailure("composite evolution does not realize the swap interaction")
     if np.any(np.maximum(*selected_gate_residuals(instance, theta)) >= DERIVED_ATOL):
         raise FactorizationFailure("derived instance selected gates are off")

@@ -32,16 +32,6 @@ def adjoint(m: np.ndarray) -> np.ndarray:
     return m.conj().swapaxes(-1, -2)
 
 
-def per_matrix(f, *stacks: np.ndarray):
-    """``f`` of each matrix of stacks with one leading shape, one call per
-    matrix: a float for matrices with no leading axes, else an array of that shape."""
-    lead = stacks[0].shape[:-2]
-    out = np.empty(lead)
-    for idx in np.ndindex(lead):
-        out[idx] = f(*(s[idx] for s in stacks))
-    return out[()]
-
-
 def _squared_norms(m: np.ndarray):
     m = np.asarray(m)
     flat = m.reshape(m.shape[:-2] + (1, -1))
@@ -115,27 +105,36 @@ def herm_exp(h: np.ndarray, t: float) -> np.ndarray:
     return (v * np.exp(-1j * w * t)[..., None, :]) @ adjoint(v)
 
 
-def dist_phase(a: np.ndarray, b: np.ndarray) -> float:
-    """Global-phase-insensitive distance of two equal-shape arrays:
-    min over alpha of ||a - e^{i alpha} b||_F.
+def dist_phase(a: np.ndarray, b: np.ndarray):
+    """Global-phase-insensitive distance min over alpha of ||a - e^{i alpha} b||_F
+    of two equal-shape vectors or matrices (a float), or of each matrix of two
+    stacks along leading axes, each under its own phase.
 
     Aligns b to the optimal phase arg(<b, a>) and takes the Frobenius norm of
     the difference.  Unlike the equal closed form sqrt(|a|^2 + |b|^2 - 2|<b, a>|),
     this resolves distances down to machine precision (cancellation under the
-    square root floors the closed form near 1e-8).
+    square root floors the closed form near 1e-8).  Each distance has the
+    bits of the plain ``np.linalg.norm(a - b * phase)`` on its matrix.
     """
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
     if a.shape != b.shape:
         raise DimensionMismatch(f"shape mismatch: {a.shape} vs {b.shape}")
-    overlap = np.vdot(b, a)
-    mag = abs(overlap)
-    # one full-size temporary, laid out as numpy lays out a - b (C unless both are
-    # Fortran) so the norm sums in the same order: the phase-aligned b, less a in place
-    order = "A" if a.flags.f_contiguous else "C"
-    diff = np.multiply(b, overlap / mag, order=order) if mag > 0 else np.array(b, order=order)
-    diff -= a  # b - a is -(a - b) exactly, so the norm has the same bits
-    return float(np.linalg.norm(diff))
+    lead = a.shape[:-2]
+    if lead:  # np.vdot's bits on each matrix
+        overlap = (b.reshape(lead + (1, -1)).conj() @ a.reshape(lead + (-1, 1)))[..., 0, 0]
+    else:
+        overlap = np.vdot(b, a)
+    mag = np.hypot(overlap.real, overlap.imag)  # as abs() of one complex: np.abs of an array may round otherwise
+    phase = np.divide(overlap, mag, out=np.ones_like(overlap), where=mag > 0)  # b as it is at zero overlap
+    if a.ndim > 1 and a.flags.f_contiguous and b.flags.f_contiguous:
+        a, b = a.swapaxes(-1, -2), b.swapaxes(-1, -2)  # so the norm sums in memory order, as that of a - b does
+    # one full-size temporary: the phase-aligned b, less a in place (b - a is
+    # -(a - b) exactly, so the norm has the same bits)
+    diff = b * phase.reshape(lead + (1,) * (a.ndim - len(lead)))
+    diff -= a
+    dist = frobenius(diff)
+    return dist if lead else float(dist)
 
 
 def exit_residual(op: np.ndarray, gate: np.ndarray, anc_in: np.ndarray, anc_out: np.ndarray):

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import adjoint, require_unitary, tensor
+from .linalg import adjoint, frobenius, require_unitary, tensor
 
 INVARIANT_ATOL = 1e-8
 
@@ -52,22 +52,16 @@ def invariants(u: np.ndarray) -> LocalInvariants:
     return LocalInvariants(g1, np.real(g2))
 
 
-def _concurrence(psi: np.ndarray) -> float:
-    # 2|ad - bc| for amplitudes (a, b, c, d); zero exactly on product states
-    return 2 * abs(psi[0] * psi[3] - psi[1] * psi[2])
-
-
-def _creates_entanglement(u: np.ndarray) -> bool:
-    """Search fallback: does u map one of 64 seeded random product states to
-    an entangled one?"""
-    rng = np.random.default_rng(0)
-    best = 0.0
-    for _ in range(64):
-        a = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-        b = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-        psi = tensor(a / np.linalg.norm(a), b / np.linalg.norm(b))
-        best = max(best, _concurrence(u @ psi))
-    return best > 1e-6
+def _creates_entanglement(u: np.ndarray) -> np.ndarray:
+    """Search fallback: does each gate of a stack map one of 64 seeded random
+    product states to an entangled one?"""
+    normals = np.random.default_rng(0).standard_normal((64, 4, 2, 1))  # per state: re a, im a, re b, im b
+    a, b = normals[:, 0] + 1j * normals[:, 1], normals[:, 2] + 1j * normals[:, 3]
+    psi = tensor(a / frobenius(a)[:, None, None], b / frobenius(b)[:, None, None])
+    amp = (u[:, None] @ psi)[..., 0]
+    # concurrence 2|ad - bc| of amplitudes (a, b, c, d): zero exactly on product states
+    gap = amp[..., 0] * amp[..., 3] - amp[..., 1] * amp[..., 2]
+    return (2 * np.hypot(gap.real, gap.imag) > 1e-6).any(axis=-1)
 
 
 def is_entangling(u: np.ndarray) -> bool:
@@ -82,8 +76,7 @@ def is_entangling(u: np.ndarray) -> bool:
     gap = np.minimum(*(inv.distance(LocalInvariants(*c)) for c in (_IDENTITY_CLASS, _SWAP_CLASS)))
     near = np.asarray(gap < INVARIANT_ATOL)
     entangling = np.ones(near.shape, dtype=bool)
-    for idx in np.ndindex(near.shape):
-        if near[idx]:
-            entangling[idx] = _creates_entanglement(u[idx])
+    if near.any():
+        entangling[near] = _creates_entanglement(u[near])
     return entangling[()]
 

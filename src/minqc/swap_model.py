@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import FactorizationFailure
 from .gates import I2, controlled, phase_gate, swap_controlled_phase, swap_gate, X
-from .linalg import dist_phase, embed_gate, exit_residual, frobenius, per_matrix, require_unitary, tensor
+from .linalg import dist_phase, embed_gate, exit_residual, frobenius, require_unitary, tensor
 from .simulator import Schedule, Step
 
 # Identity tolerances: the constructors raise at them, ``minqc verify`` reports against them.
@@ -81,12 +81,10 @@ def action_residual(interaction: SwapInteraction, bit: int):
     One global phase per preparation branch is allowed (it is exactly zero
     when both local rotation offsets vanish).
     """
-    basis = np.eye(2, dtype=complex)[:, :, None]  # columns
-    anc = basis[bit]
-    double = interaction.matrix @ interaction.matrix
-    out = np.concatenate([double @ tensor(e, anc) for e in basis], axis=-1)
-    expected = np.concatenate([tensor(interaction.gate(bit) @ e, interaction.u @ anc) for e in basis], axis=-1)
-    return per_matrix(dist_phase, out, expected)
+    anc = np.eye(2, dtype=complex)[:, bit:bit + 1]  # |bit> as a column
+    m = interaction.matrix
+    # column k of tensor(I2, anc) is e_k (x) |bit>
+    return dist_phase(m @ m @ tensor(I2, anc), tensor(interaction.gate(bit), interaction.u @ anc))
 
 
 def sandwich(interaction: SwapInteraction) -> tuple[np.ndarray, np.ndarray]:

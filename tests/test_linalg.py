@@ -204,6 +204,30 @@ def test_in_place_checks_round_as_the_plain_expressions():
             assert is_unitary(m) == (np.linalg.norm(m.conj().T @ m - np.eye(n)) < UNITARY_ATOL)
 
 
+def test_stacked_dist_phase_rounds_as_the_plain_expression_per_matrix():
+    rng = np.random.default_rng(37)
+    for lead in ((1,), (3,), (2, 3)):
+        for shape in ((2, 2), (4, 4), (8, 2)):
+            a = rng.standard_normal(lead + shape) + 1j * rng.standard_normal(lead + shape)
+            b = np.exp(1j * rng.uniform(-np.pi, np.pi, lead + (1, 1))) * a + 1e-3 * a[::-1]
+            a[..., 0, :] = complex(-0.0, -0.0)
+            b[(0,) * len(lead)] = complex(-0.0, 0.0)  # zero overlap: b is not rotated
+            for x, y in ((a, b), (np.asfortranarray(a), np.asfortranarray(b))):
+                got = dist_phase(x, y)
+                assert got.shape == lead
+                for idx in np.ndindex(lead):
+                    assert got[idx].hex() == _plain_dist_phase(x[idx], y[idx]).hex()
+
+
+def test_dist_phase_takes_one_phase_per_matrix_of_a_stack():
+    rng = np.random.default_rng(43)
+    u = random_unitary(4, rng, (2, 3))
+    v = np.exp(1j * rng.uniform(-np.pi, np.pi, (2, 3, 1, 1))) * u
+    assert np.all(dist_phase(u, v) < 1e-14)  # one phase over the whole stack leaves these far apart
+    assert type(dist_phase(u[0, 0], v[0, 0])) is float
+    assert type(dist_phase(u[0, 0, 0], v[0, 0, 0])) is float
+
+
 def test_require_unitary_on_a_large_claim_makes_no_full_size_copy():
     u = random_unitary(1024, np.random.default_rng(31))  # 16 MiB
     tracemalloc.start()

@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from minqc import cli, cz_model, hamiltonian, locequiv, swap_model, synth
-from minqc.gates import I2, X, cz_gate, hadamard, t_gate
-from minqc.linalg import random_unitary
+from minqc.gates import I2, X, cz_gate, hadamard, swap_gate, t_gate
+from minqc.linalg import random_unitary, tensor
 
 ANGLES = st.one_of(st.floats(-10, 10), st.sampled_from([0.0, np.pi / 4, np.pi, 2 * np.pi, -np.pi / 2]))
 
@@ -87,6 +87,21 @@ def test_axis_angle_on_a_stack_equals_each_slice(seed, kinds):
         return aa.phi, aa.axis, aa.global_phase, aa.degenerate, synth.from_axis_angle(aa)
 
     assert_stack_matches_slices(outputs(gates), [outputs(g) for g in gates])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.lists(st.sampled_from(["I", "SWAP", "local", "SWAP local", "CZ", "haar"]), min_size=1, max_size=6))
+def test_is_entangling_on_a_stack_equals_each_slice(seed, kinds):
+    # the identity's and SWAP's classes take the product-state fallback
+    rng = np.random.default_rng(seed)
+
+    def gate(kind):
+        local = tensor(random_unitary(2, rng), random_unitary(2, rng))
+        return {"I": np.eye(4, dtype=complex), "SWAP": swap_gate(), "local": local, "SWAP local": swap_gate() @ local,
+                "CZ": cz_gate(), "haar": random_unitary(4, rng)}[kind]
+
+    gates = np.array([gate(k) for k in kinds])
+    assert_stack_matches_slices((locequiv.is_entangling(gates),), [(locequiv.is_entangling(g),) for g in gates])
 
 
 def test_stacked_draws_consume_the_generator_as_single_draws():
